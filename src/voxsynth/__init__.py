@@ -23,9 +23,7 @@ from .deform import (
 from .intensity import (
     GmmParams,
     apply_bias,
-    gamma_augment,
     rescale_minmax,
-    sample_bias_field,
     sample_gmm_params,
     synth_gmm_image,
 )
@@ -44,7 +42,7 @@ from .metrics import (
     soft_dice_loss,
     soft_volume,
 )
-from .nifti import NiftiHeader, read_nifti, write_nifti
+from .nifti import read_nifti, write_nifti
 from .phantom import demo_phantom
 from .pipeline import (
     BatchResult,
@@ -57,7 +55,7 @@ from .pipeline import (
 )
 from .resolution import ResolutionParams, blur_axis, sample_resolution, simulate_lr, thickness_sigma
 from .schema import LabelSchema, SchemaError, load_schema
-from .target import build_target, lesion_dropout, simulate_skullstrip
-from .volume import LabelPairTable, Volume, crop_random, flip_lr, resample
+from .target import build_target
+from .volume import LabelPairTable, Volume, flip_lr, resample
 
 __version__ = "0.1.0"

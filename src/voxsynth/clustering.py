@@ -64,15 +64,14 @@ def _log_likelihood(log_resp: np.ndarray) -> float:
     return float(np.sum(peak + np.log(np.exp(log_resp - peak).sum(axis=0))))
 
 
-def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7, rng=None) -> Gmm1D:
+def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D:
     """Fit a k-component 1-D Gaussian mixture by expectation-maximisation.
 
     Means start at evenly spaced sample quantiles (the (i + 0.5)/k levels), so
-    the fit is deterministic; `rng` is accepted for interface symmetry but
-    unused. Iteration stops when the log-likelihood improves by less than
-    `tol` or after `max_iters` passes; the trace is non-decreasing. Component
-    collapse is prevented by flooring stds at a small fraction of the sample
-    range rather than failing.
+    the fit is deterministic. Iteration stops when the log-likelihood improves
+    by less than `tol` or after `max_iters` passes; the trace is
+    non-decreasing. Component collapse is prevented by flooring stds at a
+    small fraction of the sample range rather than failing.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if k < 1:
@@ -151,7 +150,6 @@ def _split_region(values: np.ndarray, k: int) -> np.ndarray:
 def subdivide_labels(
     image: Volume,
     labels: Volume,
-    schema=None,
     fg_k: int = 2,
     bg_k_range: tuple[int, int] = (3, 10),
     rng=None,
@@ -171,8 +169,6 @@ def subdivide_labels(
         raise ValueError("subdivide_labels needs an integer label volume")
     if rng is None:
         rng = np.random.default_rng()
-    if schema is not None:
-        schema.check_labels_known(labels.labels_present())
 
     lo, hi = (int(v) for v in bg_k_range)
     if not (1 <= lo <= hi):

@@ -9,6 +9,7 @@ with the offending key named.
 from __future__ import annotations
 
 import logging
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -94,16 +95,14 @@ class GeneratorConfig:
         return replace(self, **kwargs)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(GeneratorConfig)}
-_INT_KEYS = {"crop_size", "seed"}
-_BOOL_KEYS = {"crop_first", "isotropic_lr"}
-_STR_KEYS = {"schema"}
+_FIELD_TYPES = typing.get_type_hints(GeneratorConfig)
 
 
 def _parse_value(key: str, text: str):
-    if key in _STR_KEYS:
+    kind = _FIELD_TYPES[key]
+    if kind is str:
         return text
-    if key in _BOOL_KEYS:
+    if kind is bool:
         lowered = text.lower()
         if lowered in ("true", "yes", "1", "on"):
             return True
@@ -111,9 +110,7 @@ def _parse_value(key: str, text: str):
             return False
         raise ConfigError(f"key {key}: expected a boolean, got {text!r}")
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        return float(text)
+        return int(text) if kind is int else float(text)
     except ValueError:
         raise ConfigError(f"key {key}: could not parse {text!r} as a number") from None
 

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .volume import Volume, resize_trilinear
-from . import nifti
 
 __all__ = [
     "AffineParams",
@@ -30,7 +29,6 @@ __all__ = [
     "compose_transforms",
     "warp_labels",
     "jacobian_determinant",
-    "export_field",
 ]
 
 SVF_GRID_SHAPE = (10, 10, 10, 3)
@@ -72,10 +70,6 @@ def _identity_grid(dims: tuple[int, int, int]) -> np.ndarray:
     grid = np.indices(dims, dtype=np.float64)
     grid.setflags(write=False)
     return grid
-
-
-def identity_field(dims) -> DeformationField:
-    return DeformationField(np.zeros((3,) + tuple(dims), dtype=np.float64))
 
 
 def affine_matrix(params: AffineParams, dims, spacing=(1.0, 1.0, 1.0)) -> np.ndarray:
@@ -245,17 +239,3 @@ def jacobian_determinant(field: DeformationField) -> Volume:
         + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
     )
     return Volume(det)
-
-
-def export_field(field: DeformationField, base_path, like: Volume) -> list[str]:
-    """Write the three displacement components as float32 NIfTI files for
-    inspection; returns the written paths."""
-    paths = []
-    for c, suffix in enumerate(("x", "y", "z")):
-        path = f"{base_path}_{suffix}.nii.gz"
-        component = Volume(
-            field.displacement[c].astype(np.float32), like.spacing, like.affine
-        )
-        nifti.write_nifti(component, path, datatype=np.float32)
-        paths.append(path)
-    return paths

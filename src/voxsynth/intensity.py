@@ -22,12 +22,10 @@ __all__ = [
     "synth_gmm_image",
     "sample_bias_params",
     "bias_field_from_params",
-    "sample_bias_field",
     "apply_bias",
     "rescale_minmax",
     "draw_gamma",
     "apply_gamma",
-    "gamma_augment",
 ]
 
 BIAS_GRID_SHAPE = (4, 4, 4)
@@ -112,11 +110,6 @@ def bias_field_from_params(params: BiasParams, target_dims) -> Volume:
     return Volume(np.exp(log_field))
 
 
-def sample_bias_field(cfg, target_dims, rng) -> Volume:
-    """Random smooth multiplicative field (already exponentiated)."""
-    return bias_field_from_params(sample_bias_params(cfg, rng), target_dims)
-
-
 def apply_bias(image: Volume, bias: Volume) -> Volume:
     if image.dims != bias.dims:
         raise ValueError(f"image dims {image.dims} do not match bias dims {bias.dims}")
@@ -163,8 +156,3 @@ def apply_gamma(image: Volume, log_exponent: float) -> Volume:
         raise ValueError(f"gamma input must lie in [0, 1], got range [{lo}, {hi}]")
     clipped = np.clip(data, 0.0, 1.0)
     return image.with_data(clipped ** np.exp(log_exponent))
-
-
-def gamma_augment(image: Volume, cfg, rng) -> Volume:
-    """Random gamma remap; skews the histogram while staying inside [0, 1]."""
-    return apply_gamma(image, draw_gamma(cfg, rng))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .volume import Volume
 
-__all__ = ["NiftiHeader", "read_nifti", "write_nifti", "read_nifti_header"]
+__all__ = ["read_nifti", "write_nifti"]
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -43,7 +43,7 @@ _BITPIX = {2: 8, 4: 16, 8: 32, 16: 32}
 
 
 @dataclass(frozen=True)
-class NiftiHeader:
+class _Header:
     """Decoded subset of the NIfTI-1 header that this package acts on."""
 
     datatype: int
@@ -52,10 +52,7 @@ class NiftiHeader:
     scl_slope: float
     scl_inter: float
     vox_offset: int
-    qform_code: int
-    sform_code: int
     affine: np.ndarray
-    magic: bytes
 
 
 def _is_gzip(path: Path) -> bool:
@@ -90,7 +87,7 @@ def _quaternion_affine(b: float, c: float, d: float, offsets, pixdim, qfac: floa
     return affine
 
 
-def _parse_header(raw: bytes) -> tuple[NiftiHeader, str]:
+def _parse_header(raw: bytes) -> tuple[_Header, str]:
     """Decode the fixed header; returns the header and the byte-order prefix."""
     if len(raw) < HEADER_SIZE:
         raise OSError(f"truncated file: {len(raw)} bytes, header needs {HEADER_SIZE}")
@@ -138,24 +135,16 @@ def _parse_header(raw: bytes) -> tuple[NiftiHeader, str]:
     else:
         affine = np.diag([spacing[0], spacing[1], spacing[2], 1.0])
 
-    header = NiftiHeader(
+    header = _Header(
         datatype=int(datatype),
         dims=dims,
         pixdim=spacing,
         scl_slope=float(scl_slope),
         scl_inter=float(scl_inter),
         vox_offset=int(vox_offset),
-        qform_code=int(qform_code),
-        sform_code=int(sform_code),
         affine=affine,
-        magic=magic,
     )
     return header, order
-
-
-def read_nifti_header(path) -> NiftiHeader:
-    header, _ = _parse_header(_read_bytes(Path(path))[:HEADER_SIZE])
-    return header
 
 
 def read_nifti(path) -> Volume:

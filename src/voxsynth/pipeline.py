@@ -228,15 +228,48 @@ def _write_pair(pair: SamplePair, out_dir: Path, index: int) -> tuple[str, str, 
     return (str(image_path), str(target_path), str(manifest_path))
 
 
-# worker-process state, set once per worker by the pool initializer
+def _belongs_to_run(out_dir: Path, index: int, cfg: GeneratorConfig) -> bool:
+    """Whether sample `index` is already written by this run and can be skipped.
+
+    Only the manifest is read: it is written last, so a readable one marks a
+    complete triple. An unreadable manifest means the sample is regenerated; a
+    readable one from another run (other config or seed) raises, because
+    resuming into it would mix the two runs in one directory.
+    """
+    names = sample_file_names(index)
+    if not all((out_dir / name).exists() for name in names):
+        return False
+    try:
+        manifest = SampleManifest.load(out_dir / names[2])
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        logger.warning("sample %d has an unreadable manifest, regenerating: %s", index, exc)
+        return False
+    expected = cfg.as_dict()
+    differ = sorted(
+        f"config.{key}"
+        for key in expected.keys() | manifest.config.keys()
+        if expected.get(key) != manifest.config.get(key)
+    )
+    if manifest.sample_index != index:
+        differ.append("sample_index")
+    if differ:
+        raise ValueError(
+            f"sample {index} in {out_dir} belongs to another run ({', '.join(differ)} "
+            "differ); use a new output directory"
+        )
+    return True
+
+
+# per-process state of the sample runner: set by the pool initializer in each
+# worker, or by generate_batch itself for the length of an in-process batch
 _WORKER: dict = {}
 
 
-def _init_worker(maps, cfg, schema_source, out_dir, map_ids):
+def _init_worker(maps, cfg, schema, out_dir, map_ids):
     _WORKER["maps"] = maps
     _WORKER["cfg"] = cfg
-    _WORKER["schema"] = load_schema(schema_source)
-    _WORKER["out_dir"] = Path(out_dir)
+    _WORKER["schema"] = schema
+    _WORKER["out_dir"] = out_dir
     _WORKER["map_ids"] = map_ids
 
 
@@ -254,6 +287,26 @@ def _run_sample(index: int) -> tuple[str, str, str]:
     return paths
 
 
+def _run_in_process(pending, initargs):
+    _init_worker(*initargs)
+    try:
+        for index in pending:
+            try:
+                yield index, _run_sample(index), None
+            except Exception as exc:
+                yield index, None, exc
+    finally:
+        _WORKER.clear()
+
+
+def _run_in_pool(pending, workers, initargs):
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=initargs) as pool:
+        futures = {index: pool.submit(_run_sample, index) for index in pending}
+        for index, future in futures.items():
+            error = future.exception()  # a broken pool fails its pending futures
+            yield index, None if error else future.result(), error
+
+
 def generate_batch(
     maps,
     cfg: GeneratorConfig,
@@ -264,9 +317,12 @@ def generate_batch(
 ) -> BatchResult:
     """Write `count` (image, target, manifest) triples into `out_dir`.
 
-    Samples whose three files already exist are skipped, so an interrupted
-    batch resumes where it stopped and a deleted sample is regenerated
-    bit-identically. Failures are collected per sample instead of aborting.
+    Samples already written by this run are skipped, so an interrupted batch
+    resumes where it stopped and a deleted sample is regenerated
+    bit-identically; a directory holding another run's samples is refused
+    before anything is generated. With ``workers <= 1`` the samples run in
+    the calling process, otherwise in a pool of that many forked workers.
+    Failures are collected per sample instead of aborting.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -274,49 +330,23 @@ def generate_batch(
 
     pending = []
     for index in range(count):
-        names = sample_file_names(index)
-        if all((out_dir / name).exists() for name in names):
+        if _belongs_to_run(out_dir, index, cfg):
             result.skipped.append(index)
-            result.written.append(tuple(str(out_dir / name) for name in names))
+            result.written.append(tuple(str(out_dir / name) for name in sample_file_names(index)))
         else:
             pending.append(index)
 
-    schema = load_schema(cfg.schema)
-
-    def record(index, paths=None, error=None):
+    initargs = (maps, cfg, load_schema(cfg.schema), out_dir, map_ids)
+    if workers <= 1:
+        outcomes = _run_in_process(pending, initargs)
+    else:
+        outcomes = _run_in_pool(pending, workers, initargs)
+    for index, paths, error in outcomes:
         if error is not None:
-            result.failures[index] = error
+            result.failures[index] = str(error)
             logger.error("sample %d failed: %s", index, error)
         else:
             result.written.append(paths)
-
-    if not pending:
-        pass
-    elif workers <= 1:
-        for index in pending:
-            started = time.perf_counter()
-            try:
-                pair = generate_sample(maps, cfg, index, schema=schema, map_ids=map_ids)
-                paths = _write_pair(pair, out_dir, index)
-            except Exception as exc:
-                record(index, error=str(exc))
-                continue
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            logger.info("sample %d generated in %.0f ms", index, elapsed_ms)
-            record(index, paths=paths)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(maps, cfg, cfg.schema, str(out_dir), map_ids),
-        ) as pool:
-            futures = {index: pool.submit(_run_sample, index) for index in pending}
-            for index, future in futures.items():
-                error = future.exception()
-                if error is not None:
-                    record(index, error=str(error))
-                else:
-                    record(index, paths=future.result())
 
     result.written.sort()
     return result

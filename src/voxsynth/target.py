@@ -13,10 +13,8 @@ __all__ = [
     "STRIP_KEEP_CSF",
     "draw_strip_branch",
     "apply_skullstrip",
-    "simulate_skullstrip",
     "draw_lesion_keep",
     "apply_lesion_dropout",
-    "lesion_dropout",
     "build_target",
 ]
 
@@ -58,11 +56,6 @@ def apply_skullstrip(labels: Volume, schema: LabelSchema, branch: str) -> Volume
     return labels.with_data(_relabel(labels.data, mapping))
 
 
-def simulate_skullstrip(labels: Volume, schema: LabelSchema, rng) -> Volume:
-    """Randomly remove head labels to mimic (possibly imperfect) skull stripping."""
-    return apply_skullstrip(labels, schema, draw_strip_branch(rng))
-
-
 def draw_lesion_keep(rng) -> bool:
     return bool(rng.random() < 0.5)
 
@@ -79,12 +72,6 @@ def apply_lesion_dropout(labels: Volume, schema: LabelSchema, keep: bool) -> Vol
         if lesion in present:
             mapping[lesion] = host
     return labels.with_data(_relabel(labels.data, mapping))
-
-
-def lesion_dropout(labels: Volume, schema: LabelSchema, rng) -> Volume:
-    """Keep lesion labels with probability one half, otherwise absorb each
-    lesion into its host tissue so no hole is left in the anatomy."""
-    return apply_lesion_dropout(labels, schema, draw_lesion_keep(rng))
 
 
 def build_target(deformed_labels: Volume, schema: LabelSchema) -> Volume:

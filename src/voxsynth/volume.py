@@ -20,7 +20,6 @@ __all__ = [
     "Volume",
     "LabelPairTable",
     "resample",
-    "crop_random",
     "crop_at",
     "draw_crop_offset",
     "flip_lr",
@@ -278,12 +277,6 @@ def crop_at(v: Volume, offset, size) -> Volume:
     affine = np.array(v.affine)
     affine[:3, 3] += affine[:3, :3] @ np.array([ox, oy, oz], dtype=np.float64)
     return Volume(block, v.spacing, affine)
-
-
-def crop_random(v: Volume, size, rng) -> Volume:
-    """Random sub-block of the given size, offset drawn uniformly."""
-    offset = draw_crop_offset(v.dims, size, rng)
-    return crop_at(v, offset, size)
 
 
 def lr_axis(affine: np.ndarray) -> int:

@@ -80,6 +80,11 @@ def test_bool_and_string_keys():
     assert cfg.crop_first is False
     assert cfg.isotropic_lr is True
     assert cfg.schema == "my.csv"
+    # every field's default, written as text, parses back to itself
+    defaults = GeneratorConfig().as_dict()
+    parsed = parse_config_text("".join(f"{k} = {v}\n" for k, v in defaults.items())).as_dict()
+    assert parsed == defaults
+    assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in defaults.items()}
 
 
 def test_spacing_max_below_native_rejected():

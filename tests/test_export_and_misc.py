@@ -1,22 +1,7 @@
 import numpy as np
 import pytest
 
-from voxsynth.deform import DeformationField, export_field
-from voxsynth.nifti import read_nifti
-from voxsynth.volume import Volume
-
 from conftest import make_image
-
-
-def test_deformation_field_export_round_trip(tmp_path, rng):
-    disp = rng.standard_normal((3, 6, 5, 4))
-    like = Volume(np.zeros((6, 5, 4), dtype=np.float32), spacing=(1.0, 2.0, 3.0))
-    paths = export_field(DeformationField(disp), tmp_path / "field", like)
-    assert [p.endswith(s) for p, s in zip(paths, ("_x.nii.gz", "_y.nii.gz", "_z.nii.gz"))]
-    for c, path in enumerate(paths):
-        back = read_nifti(path)
-        assert back.spacing == like.spacing
-        assert np.array_equal(back.data, disp[c].astype(np.float32))
 
 
 def test_cli_reports_partial_batch_failure(tmp_path, monkeypatch):

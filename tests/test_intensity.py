@@ -7,9 +7,8 @@ from voxsynth.intensity import (
     apply_bias,
     apply_gamma,
     bias_field_from_params,
-    gamma_augment,
+    draw_gamma,
     rescale_minmax,
-    sample_bias_field,
     sample_bias_params,
     sample_gmm_params,
     synth_gmm_image,
@@ -88,7 +87,7 @@ class TestSynthImage:
 class TestBiasField:
     def test_zero_bound_gives_unit_field(self, rng):
         cfg = GeneratorConfig(bias_std_max=0.0)
-        field = sample_bias_field(cfg, (8, 9, 10), rng)
+        field = bias_field_from_params(sample_bias_params(cfg, rng), (8, 9, 10))
         assert np.all(field.data == 1.0)
 
     def test_default_std_within_bound(self, rng):
@@ -99,7 +98,7 @@ class TestBiasField:
     def test_field_strictly_positive(self, rng):
         cfg = GeneratorConfig(bias_std_max=3.0)  # exaggerated bias
         for _ in range(5):
-            field = sample_bias_field(cfg, (6, 6, 6), rng)
+            field = bias_field_from_params(sample_bias_params(cfg, rng), (6, 6, 6))
             assert field.data.min() > 0.0
 
     def test_single_control_point_matches_exp_kernel_oracle(self):
@@ -203,20 +202,18 @@ class TestGamma:
         cfg = GeneratorConfig()
         values = np.sort(rng.uniform(0, 1, 64))
         image = make_image(values.reshape(4, 4, 4))
-        out = gamma_augment(image, cfg, rng)
+        out = apply_gamma(image, draw_gamma(cfg, rng))
         flat = out.data.ravel()
         assert flat.min() >= 0.0 and flat.max() <= 1.0
         assert np.all(np.diff(flat) >= 0.0)
 
     def test_endpoints_fixed(self, rng):
         image = make_image(np.array([0.0, 1.0] * 4).reshape(2, 2, 2))
-        out = gamma_augment(image, GeneratorConfig(), rng)
+        out = apply_gamma(image, draw_gamma(GeneratorConfig(), rng))
         assert np.all(out.data[image.data == 0.0] == 0.0)
         assert np.all(out.data[image.data == 1.0] == 1.0)
 
     def test_default_exponent_distribution(self, rng):
-        from voxsynth.intensity import draw_gamma
-
         cfg = GeneratorConfig()
         draws = np.array([draw_gamma(cfg, rng) for _ in range(20_000)])
         assert abs(draws.mean()) < 0.02

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,55 @@ class TestGenerateBatch:
         assert not result.ok
         assert set(result.failures) == {1}
         assert len(result.written) == 2
+
+    def test_killed_worker_recorded_and_resumable(self, tmp_path, fast_cfg, monkeypatch):
+        maps = [demo_phantom(24)]
+        clean = generate_batch(maps, fast_cfg, 3, tmp_path / "clean")
+        assert clean.ok
+
+        import voxsynth.pipeline as pipeline_module
+
+        original = pipeline_module.generate_sample
+
+        def killed(maps, cfg, index, **kwargs):
+            if index == 1:
+                os._exit(1)
+            return original(maps, cfg, index, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "generate_sample", killed)
+        out = tmp_path / "out"
+        result = generate_batch(maps, fast_cfg, 3, out, workers=2)
+        assert 1 in result.failures
+        monkeypatch.undo()
+        resumed = generate_batch(maps, fast_cfg, 3, out, workers=2)
+        assert resumed.ok and len(resumed.written) == 3
+        for i in range(3):
+            for name in sample_file_names(i):
+                assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes(), name
+
+    def test_resume_refuses_another_runs_samples(self, tmp_path, fast_cfg):
+        maps = [demo_phantom(24)]
+        out = tmp_path / "out"
+        generate_batch(maps, fast_cfg, 2, out)
+        with pytest.raises(ValueError, match=r"sample 0 .*config\.seed"):
+            generate_batch(maps, fast_cfg.with_overrides(seed=2), 3, out)
+        assert not any((out / name).exists() for name in sample_file_names(2))
+        (out / sample_file_names(1)[2]).write_bytes((out / sample_file_names(0)[2]).read_bytes())
+        with pytest.raises(ValueError, match=r"sample 1 .*sample_index"):
+            generate_batch(maps, fast_cfg, 2, out)
+
+    def test_resume_regenerates_unreadable_manifest(self, tmp_path, fast_cfg):
+        maps = [demo_phantom(24)]
+        out = tmp_path / "out"
+        generate_batch(maps, fast_cfg, 2, out)
+        originals = {
+            name: (out / name).read_bytes() for i in range(2) for name in sample_file_names(i)
+        }
+        (out / sample_file_names(0)[2]).write_text("{")
+        result = generate_batch(maps, fast_cfg, 2, out)
+        assert result.ok and result.skipped == [1]
+        for name, blob in originals.items():
+            assert (out / name).read_bytes() == blob
 
 
 class TestReplay:

@@ -11,7 +11,6 @@ from voxsynth.target import (
     build_target,
     draw_lesion_keep,
     draw_strip_branch,
-    simulate_skullstrip,
 )
 
 from conftest import make_labels
@@ -68,7 +67,7 @@ class TestSkullstrip:
 
     def test_only_designated_labels_touched(self, tiny_schema, rng):
         v = head_map()
-        out = simulate_skullstrip(v, tiny_schema, rng)
+        out = apply_skullstrip(v, tiny_schema, draw_strip_branch(rng))
         untouched = ~np.isin(v.data, [4, 5])
         assert np.array_equal(out.data[untouched], v.data[untouched])
 

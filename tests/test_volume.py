@@ -6,7 +6,6 @@ from voxsynth.volume import (
     Volume,
     axis_positions,
     crop_at,
-    crop_random,
     draw_crop_offset,
     flip_lr,
     resample,
@@ -171,7 +170,7 @@ class TestCrop:
             rng1 = np.random.default_rng(seed)
             rng2 = np.random.default_rng(seed)
             expected_offset = tuple(rng1.integers(0, [3, 3, 3]))
-            out = crop_random(v, (2, 2, 2), rng2)
+            out = crop_at(v, draw_crop_offset(v.dims, (2, 2, 2), rng2), (2, 2, 2))
             ox, oy, oz = expected_offset
             assert np.array_equal(out.data, v.data[ox : ox + 2, oy : oy + 2, oz : oz + 2])
             seen.add(expected_offset)
@@ -190,11 +189,11 @@ class TestCrop:
     def test_oversized_crop_rejected(self):
         v = make_labels(np.zeros((4, 4, 4)))
         with pytest.raises(ValueError):
-            crop_random(v, (5, 4, 4), np.random.default_rng(0))
+            crop_at(v, draw_crop_offset(v.dims, (5, 4, 4), np.random.default_rng(0)), (5, 4, 4))
 
     def test_training_crop_size_accepted_on_big_volume(self, rng):
         v = make_labels(np.zeros((161, 162, 163), dtype=np.int32))
-        out = crop_random(v, (160, 160, 160), rng)
+        out = crop_at(v, draw_crop_offset(v.dims, (160, 160, 160), rng), (160, 160, 160))
         assert out.dims == (160, 160, 160)
 
 
