@@ -12,7 +12,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+# no longer called here (_self_compose reproduces it); kept bound because
+# perfbench's traced runs wrap `deform.map_coordinates` to count calls
+from scipy.ndimage import map_coordinates  # noqa: F401
 
 from .volume import Volume, resize_trilinear
 
@@ -34,6 +36,7 @@ __all__ = [
 SVF_GRID_SHAPE = (10, 10, 10, 3)
 DEFAULT_SQUARING_STEPS = 7
 MAX_STEP_DISPLACEMENT = 0.5  # voxels; squaring depth is raised until satisfied
+_BLOCK = 8192  # flat voxels per gather block of _self_compose; keeps its buffers in cache
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,6 @@ def integrate_svf(velocity: np.ndarray, steps: int = DEFAULT_SQUARING_STEPS) -> 
     vel = np.asarray(velocity, dtype=np.float64)
     if vel.ndim != 4 or vel.shape[0] != 3:
         raise ValueError(f"velocity must have shape (3, nx, ny, nz), got {vel.shape}")
-    dims = vel.shape[1:]
     max_disp = float(np.abs(vel).max())
     steps = _squaring_steps(max_disp, steps)
 
@@ -169,16 +171,73 @@ def integrate_svf(velocity: np.ndarray, steps: int = DEFAULT_SQUARING_STEPS) -> 
     if max_disp == 0.0:
         return DeformationField(disp)
 
-    ident = _identity_grid(dims)
-    coords = np.empty_like(disp)
     stepped = np.empty_like(disp)
     for _ in range(steps):
-        np.add(ident, disp, out=coords)
-        for c in range(3):
-            map_coordinates(disp[c], coords, order=1, mode="nearest", output=stepped[c])
-        stepped += disp
+        _self_compose(disp, stepped)
         disp, stepped = stepped, disp  # reuse the old buffer next iteration
     return DeformationField(disp)
+
+
+def _self_compose(disp: np.ndarray, out: np.ndarray) -> None:
+    """One squaring step: ``out = disp + disp(ident + disp)``, both C-contiguous
+    (3, nx, ny, nz) arrays.
+
+    The lookup is trilinear with edge clamping and reproduces
+    ``map_coordinates(disp[c], ident + disp, order=1, mode="nearest")`` bit
+    for bit, because it does scipy's arithmetic in scipy's order: weights
+    ``w0 = 1 - x`` and ``w1 = 1 - w0`` from the unclamped coordinate, indices
+    clamped to the grid, and a sum from +0.0 over the 8 corner terms
+    ``((v * wx) * wy) * wz`` with the last axis fastest. It runs over blocks of
+    `_BLOCK` flat voxels so that the 8 gathers of all three components stay in
+    cache, which makes it about twice as fast as three whole-volume calls.
+    """
+    dims = disp.shape[1:]
+    src = disp.reshape(3, -1)
+    dst = out.reshape(3, -1)
+    ident = _identity_grid(dims).reshape(3, -1)
+    total = src.shape[1]
+    width = min(_BLOCK, total)
+    coord, floor, value, acc = np.empty((4, 3, width))
+    weights = np.empty((2, 3, width))  # [w0, w1] per axis
+    index = np.empty((2, 3, width), dtype=np.intp)  # clamped [floor, floor + 1] times stride
+    pairs = np.empty((4, width), dtype=np.intp)
+    corners = np.empty((8, width), dtype=np.intp)
+    last = np.array(dims, dtype=np.intp).reshape(3, 1) - 1
+    strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.intp).reshape(3, 1)
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        if stop - start != width:  # the shorter last block
+            width = stop - start
+            coord, floor, value, acc, weights, index, pairs, corners = (
+                buf[..., :width] for buf in (coord, floor, value, acc, weights, index, pairs, corners)
+            )
+        np.add(ident[:, start:stop], src[:, start:stop], out=coord)
+        np.floor(coord, out=floor)
+        np.subtract(coord, floor, out=coord)
+        np.subtract(1.0, coord, out=weights[0])
+        np.subtract(1.0, weights[0], out=weights[1])
+        # clamping the floor to [-1, n-1] first keeps the cast in range and
+        # leaves both clamped indices unchanged
+        np.clip(floor, -1.0, last, out=floor)
+        index[0] = floor
+        np.add(index[0], 1, out=index[1])
+        np.maximum(index[0], 0, out=index[0])
+        np.minimum(index[1], last, out=index[1])
+        index *= strides
+        for k in range(4):
+            np.add(index[k >> 1, 0], index[k & 1, 1], out=pairs[k])
+        for k in range(8):
+            np.add(pairs[k >> 1], index[k & 1, 2], out=corners[k])
+        for k in range(8):
+            term = acc if k == 0 else value
+            np.take(src, corners[k], axis=1, out=term, mode="clip")
+            term *= weights[k >> 2, 0]
+            term *= weights[(k >> 1) & 1, 1]
+            term *= weights[k & 1, 2]
+            if k:
+                acc += term
+        acc += 0.0  # scipy sums from +0.0, so an all -0.0 sum reads +0.0
+        np.add(acc, src[:, start:stop], out=dst[:, start:stop])
 
 
 def compose_transforms(matrix: np.ndarray, nonlin: DeformationField) -> DeformationField:

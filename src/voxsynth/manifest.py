@@ -45,11 +45,19 @@ class SampleManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "SampleManifest":
+        """Parse a manifest; any malformed document raises `ValueError`."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"manifest must be a JSON object, got {type(payload).__name__}")
         fmt = payload.get("format")
         if fmt != MANIFEST_FORMAT:
             raise ValueError(f"unsupported manifest format {fmt!r}")
-        return cls(**payload)
+        if not isinstance(payload.get("config"), dict):
+            raise ValueError("manifest config must be a JSON object")
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # a missing or unknown field
+            raise ValueError(f"malformed manifest: {exc}") from exc
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -241,7 +242,7 @@ def _belongs_to_run(out_dir: Path, index: int, cfg: GeneratorConfig) -> bool:
         return False
     try:
         manifest = SampleManifest.load(out_dir / names[2])
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError) as exc:
         logger.warning("sample %d has an unreadable manifest, regenerating: %s", index, exc)
         return False
     expected = cfg.as_dict()
@@ -300,6 +301,25 @@ def _run_in_process(pending, initargs):
 
 
 def _run_in_pool(pending, workers, initargs):
+    """Run `pending` in a pool of `workers` forked processes.
+
+    A worker that dies (killed, out of memory) breaks the pool and fails every
+    unfinished sample with it. Each of those is retried once, alone in a fresh
+    one-worker pool, so only a sample that breaks its own pool too fails.
+    """
+    broken = []
+    for index, paths, error in _pool_outcomes(pending, workers, initargs):
+        if isinstance(error, BrokenProcessPool):
+            broken.append(index)
+        else:
+            yield index, paths, error
+    if broken:
+        logger.warning("a worker died; retrying samples %s one at a time", broken)
+    for index in broken:
+        yield from _pool_outcomes([index], 1, initargs)
+
+
+def _pool_outcomes(pending, workers, initargs):
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=initargs) as pool:
         futures = {index: pool.submit(_run_sample, index) for index in pending}
         for index, future in futures.items():
@@ -322,7 +342,8 @@ def generate_batch(
     bit-identically; a directory holding another run's samples is refused
     before anything is generated. With ``workers <= 1`` the samples run in
     the calling process, otherwise in a pool of that many forked workers.
-    Failures are collected per sample instead of aborting.
+    Failures are collected per sample instead of aborting; the samples of a
+    pool whose worker died are retried once each.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
 from voxsynth.config import GeneratorConfig
 from voxsynth.deform import (
+    _BLOCK,
     SVF,
     AffineParams,
     DeformationField,
@@ -15,6 +18,7 @@ from voxsynth.deform import (
     sample_svf,
     upsample_svf,
     warp_labels,
+    _self_compose,
 )
 from voxsynth.volume import axis_positions
 
@@ -166,6 +170,59 @@ class TestIntegrateSvf:
         vel = smooth_velocity((16, 16, 16), rng, magnitude=1e-4)
         field = integrate_svf(vel)
         assert np.abs(field.displacement - vel).max() < 1e-7
+
+
+def scipy_self_compose(disp):
+    """The squaring step as three whole-volume map_coordinates calls."""
+    coords = np.indices(disp.shape[1:], dtype=np.float64) + disp
+    out = np.empty_like(disp)
+    for c in range(3):
+        map_coordinates(disp[c], coords, order=1, mode="nearest", output=out[c])
+    out += disp
+    return out
+
+
+class TestSelfCompose:
+    """The blocked squaring kernel must reproduce map_coordinates bit for bit
+    (values and the sign of zeros)."""
+
+    def assert_same_bits(self, disp):
+        out = np.empty_like(disp)
+        _self_compose(disp, out)
+        expected = scipy_self_compose(disp)
+        assert np.array_equal(out, expected)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dims", [(7, 5, 9), (1, 6, 4), (6, 1, 4), (5, 4, 1)])
+    def test_non_cubic_and_singleton_axes(self, rng, dims):
+        self.assert_same_bits(rng.standard_normal((3,) + dims) * 2.0)
+
+    def test_far_outside_the_grid(self, rng):
+        disp = rng.standard_normal((3, 7, 5, 9)) * 1e3
+        disp[0, 0, 0, :3] = (-1e12, 1e12, -0.5)
+        self.assert_same_bits(disp)
+
+    def test_integer_coordinates_including_last_voxel(self, rng):
+        dims = (7, 5, 9)
+        targets = np.stack([rng.integers(-3, n + 3, size=dims) for n in dims]).astype(np.float64)
+        targets[:, 0, 0, 0] = [n - 1 for n in dims]
+        targets[:, 1, 1, 1] = 0.0
+        self.assert_same_bits(targets - np.indices(dims, dtype=np.float64))
+
+    def test_signed_zeros(self):
+        self.assert_same_bits(np.full((3, 4, 5, 6), -0.0))
+
+    def test_voxel_count_not_a_multiple_of_the_block(self, rng):
+        dims = (23, 19, 21)
+        assert np.prod(dims) > _BLOCK and np.prod(dims) % _BLOCK != 0
+        self.assert_same_bits(smooth_velocity(dims, rng, magnitude=4.0))
+
+    def test_160_cube_field_unchanged(self):
+        # SHA-256 recorded with the map_coordinates implementation
+        vel = upsample_svf(sample_svf(GeneratorConfig(), np.random.default_rng(4)), (160,) * 3)
+        field = integrate_svf(vel).displacement
+        digest = hashlib.sha256(np.ascontiguousarray(field).tobytes()).hexdigest()
+        assert digest == "5a1dea49a63c1e6c930f2b4063bef24a8940ec65a93a88eb05b41f654e3701ac"
 
 
 class TestCompose:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -40,6 +42,11 @@ def frozen_cfg(**overrides):
     )
     base.update(overrides)
     return GeneratorConfig(**base)
+
+
+VALID_MANIFEST = json.loads(
+    SampleManifest(master_seed=1, sample_index=0, map_index=0, map_id="demo", config={}).to_json()
+)
 
 
 @pytest.fixture
@@ -203,7 +210,11 @@ class TestGenerateBatch:
         monkeypatch.setattr(pipeline_module, "generate_sample", killed)
         out = tmp_path / "out"
         result = generate_batch(maps, fast_cfg, 3, out, workers=2)
-        assert 1 in result.failures
+        assert set(result.failures) == {1}
+        assert len(result.written) == 2
+        for i in (0, 2):
+            for name in sample_file_names(i):
+                assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes(), name
         monkeypatch.undo()
         resumed = generate_batch(maps, fast_cfg, 3, out, workers=2)
         assert resumed.ok and len(resumed.written) == 3
@@ -229,11 +240,46 @@ class TestGenerateBatch:
         originals = {
             name: (out / name).read_bytes() for i in range(2) for name in sample_file_names(i)
         }
-        (out / sample_file_names(0)[2]).write_text("{")
-        result = generate_batch(maps, fast_cfg, 2, out)
-        assert result.ok and result.skipped == [1]
-        for name, blob in originals.items():
-            assert (out / name).read_bytes() == blob
+        payload = json.loads(originals[sample_file_names(0)[2]])
+        del payload["config"]
+        for text in ("{", "[]", "3", json.dumps(payload)):
+            (out / sample_file_names(0)[2]).write_text(text)
+            result = generate_batch(maps, fast_cfg, 2, out)
+            assert result.ok and result.skipped == [1]
+            for name, blob in originals.items():
+                assert (out / name).read_bytes() == blob
+
+    # SHA-256 over samples 0-7 of the decoded image and target arrays (dtype,
+    # shape, bytes) and the manifest text; recorded before the blocked
+    # squaring kernel replaced map_coordinates, and unchanged by it
+    GOLDEN = {
+        "default": ({}, "444e166356efe46d3cecd1e0ed2e7640d78669bd93a69f6cfe2054976d004c54"),
+        "crop_after_warp": (
+            {"crop_first": False},
+            "43f56b81d85b1248b829445c561b6422c92f3e3c3e1f1c3e80e62c87c5a22d1a",
+        ),
+        "isotropic_lr": (
+            {"isotropic_lr": True},
+            "4125449feb1c63ea16ea3b660c3c9804c7d86406f441e07c208782e65c1dd82d",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_samples_unchanged(self, tmp_path, case):
+        overrides, expected = self.GOLDEN[case]
+        cfg = GeneratorConfig(crop_size=40, seed=3, **overrides)
+        result = generate_batch([demo_phantom(48)], cfg, 8, tmp_path, map_ids=["demo"])
+        assert result.ok
+        digest = hashlib.sha256()
+        for i in range(8):
+            image_name, target_name, manifest_name = sample_file_names(i)
+            for name in (image_name, target_name):
+                data = read_nifti(tmp_path / name).data
+                digest.update(str(data.dtype).encode())
+                digest.update(str(data.shape).encode())
+                digest.update(np.ascontiguousarray(data).tobytes())
+            digest.update((tmp_path / manifest_name).read_bytes())
+        assert digest.hexdigest() == expected
 
 
 class TestReplay:
@@ -261,6 +307,23 @@ class TestReplay:
         text = pair.manifest.to_json()
         assert SampleManifest.from_json(text) == pair.manifest
         assert SampleManifest.from_json(text).to_json() == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "3",
+            '"x"',
+            "{",
+            json.dumps({k: v for k, v in VALID_MANIFEST.items() if k != "map_id"}),
+            json.dumps({**VALID_MANIFEST, "extra": 1}),
+            json.dumps({**VALID_MANIFEST, "config": 3}),
+        ],
+        ids=["list", "number", "string", "truncated", "missing_field", "unknown_field", "config_not_object"],
+    )
+    def test_malformed_manifest_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            SampleManifest.from_json(text)
 
 
 class TestPreprocess:
