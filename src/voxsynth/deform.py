@@ -161,7 +161,8 @@ def integrate_svf(velocity: np.ndarray, steps: int = DEFAULT_SQUARING_STEPS) -> 
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    vel = np.asarray(velocity, dtype=np.float64)
+    # C order, so that the squaring kernel can write through flat views
+    vel = np.ascontiguousarray(velocity, dtype=np.float64)
     if vel.ndim != 4 or vel.shape[0] != 3:
         raise ValueError(f"velocity must have shape (3, nx, ny, nz), got {vel.shape}")
     max_disp = float(np.abs(vel).max())
@@ -191,6 +192,8 @@ def _self_compose(disp: np.ndarray, out: np.ndarray) -> None:
     `_BLOCK` flat voxels so that the 8 gathers of all three components stay in
     cache, which makes it about twice as fast as three whole-volume calls.
     """
+    if not (disp.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("_self_compose needs C-contiguous arrays")
     dims = disp.shape[1:]
     src = disp.reshape(3, -1)
     dst = out.reshape(3, -1)

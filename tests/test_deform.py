@@ -224,6 +224,22 @@ class TestSelfCompose:
         digest = hashlib.sha256(np.ascontiguousarray(field).tobytes()).hexdigest()
         assert digest == "5a1dea49a63c1e6c930f2b4063bef24a8940ec65a93a88eb05b41f654e3701ac"
 
+    def test_memory_order_of_the_velocity_does_not_matter(self, rng):
+        vel = smooth_velocity((9, 7, 8), rng, magnitude=4.0)
+        expected = integrate_svf(vel).displacement.tobytes()
+        fortran = np.asfortranarray(vel)
+        moved = np.moveaxis(np.ascontiguousarray(np.moveaxis(vel, 0, -1)), -1, 0)
+        strided = np.zeros(vel.shape[:3] + (2 * vel.shape[3],))
+        strided[..., ::2] = vel
+        for other in (fortran, moved, strided[..., ::2]):
+            assert not other.flags.c_contiguous
+            assert integrate_svf(other).displacement.tobytes() == expected
+
+    def test_rejects_non_contiguous_buffers(self):
+        disp = np.asfortranarray(np.zeros((3, 4, 5, 6)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _self_compose(disp, np.empty_like(disp))
+
 
 class TestCompose:
     def test_identity_identity(self):
