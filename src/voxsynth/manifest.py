@@ -13,6 +13,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .nifti import replaced_atomically
+
 __all__ = ["SampleManifest", "MANIFEST_FORMAT"]
 
 MANIFEST_FORMAT = "voxsynth-manifest-v1"
@@ -60,7 +62,9 @@ class SampleManifest:
             raise ValueError(f"malformed manifest: {exc}") from exc
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
+        """Write the manifest through a temporary sibling renamed into place."""
+        with replaced_atomically(Path(path)) as f:
+            f.write(self.to_json().encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "SampleManifest":

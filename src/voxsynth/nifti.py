@@ -3,9 +3,16 @@
 Implements the 348-byte binary header plus raw voxel payload, optionally
 inside a gzip container (detected by magic bytes on read, by a ``.gz`` suffix
 on write). Only 3D volumes and the four datatypes used by this package are
-supported: uint8, int16, int32, float32. Written files are deterministic at
-the byte level (gzip mtime pinned to zero) so identical volumes produce
-identical files.
+supported: uint8, int16, int32, float32.
+
+Gzip output is deflated at level 6 with a strategy chosen by the payload
+kind: run-length matching (``Z_RLE``) for float payloads, whose noisy
+mantissas give LZ matching almost nothing to find but whose zero background
+still codes to a few bytes, and the default strategy for integer (label)
+payloads. The gzip header stores mtime 0 and no file name, so identical
+volumes produce identical files. Every file is written to a temporary
+sibling and renamed into place, so a failed write never leaves a partial
+file under the final name.
 
 Layout notes: voxel data is stored x-fastest, matching the ``[x, y, z]``
 index convention of :class:`voxsynth.volume.Volume`; the grid-to-world map is
@@ -16,7 +23,10 @@ pixdim-diagonal precedence.
 from __future__ import annotations
 
 import gzip
+import os
 import struct
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,7 +234,7 @@ def write_nifti(v: Volume, path, datatype=None, quantize: bool = False) -> None:
                     f"label range [{lo}, {hi}] does not fit datatype {dt} "
                     f"([{info.min}, {info.max}])"
                 )
-    out = np.asarray(data).astype(dt.newbyteorder("<"), copy=False)
+    out = np.asarray(data).astype(dt.newbyteorder("<"), order="F", copy=False)
 
     code = _CODE_FOR_DTYPE[np.dtype(dt)]
     header = bytearray(HEADER_SIZE)
@@ -245,13 +255,36 @@ def write_nifti(v: Volume, path, datatype=None, quantize: bool = False) -> None:
     struct.pack_into("<4f", header, 312, *affine[2])
     header[344:348] = MAGIC_SINGLE
 
-    payload = bytes(header) + b"\x00" * (VOX_OFFSET - HEADER_SIZE) + out.tobytes(order="F")
+    # the transpose of an F-ordered array is a C-contiguous buffer holding the
+    # voxels x-fastest, so no bytes copy of the payload is made
+    chunks = (bytes(header), b"\x00" * (VOX_OFFSET - HEADER_SIZE), out.T)
 
-    if str(path).endswith(".gz"):
-        with open(path, "wb") as f:
-            # mtime and filename pinned so identical volumes give identical bytes
-            with gzip.GzipFile(filename="", fileobj=f, mode="wb", mtime=0) as gz:
-                gz.write(payload)
-    else:
-        with open(path, "wb") as f:
-            f.write(payload)
+    with replaced_atomically(path) as f:
+        if path.name.endswith(".gz"):
+            # wbits 31: a gzip container with mtime 0 and no file name
+            strategy = zlib.Z_RLE if dt.kind == "f" else zlib.Z_DEFAULT_STRATEGY
+            deflate = zlib.compressobj(6, zlib.DEFLATED, 31, 8, strategy)
+            for chunk in chunks:
+                f.write(deflate.compress(chunk))
+            f.write(deflate.flush())
+        else:
+            for chunk in chunks:
+                f.write(chunk)
+
+
+@contextmanager
+def replaced_atomically(path: Path):
+    """Open a temporary sibling of `path` for binary writing and rename it to
+    `path` when the block succeeds; on any failure remove it instead.
+
+    The sibling keeps the final suffix (``.gz`` included) and carries the
+    writer's process id, so concurrent writers never share one.
+    """
+    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

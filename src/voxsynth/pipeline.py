@@ -168,10 +168,11 @@ def generate_sample(
         }
         svf = sample_svf(cfg, rng)
         manifest.svf_std = svf.std
-        velocity = upsample_svf(svf, labels.dims)
-        nonlin = integrate_svf(velocity)
-        total = compose_transforms(matrix, nonlin)
-        labels = warp_labels(labels, total)
+        # nested so each dense (3, N, N, N) field is freed as soon as its
+        # consumer returns, instead of all of them staying alive for the warp
+        labels = warp_labels(
+            labels, compose_transforms(matrix, integrate_svf(upsample_svf(svf, labels.dims)))
+        )
 
     if not cfg.crop_first:
         crop_stage()
@@ -304,19 +305,31 @@ def _run_in_pool(pending, workers, initargs):
     """Run `pending` in a pool of `workers` forked processes.
 
     A worker that dies (killed, out of memory) breaks the pool and fails every
-    unfinished sample with it. Each of those is retried once, alone in a fresh
-    one-worker pool, so only a sample that breaks its own pool too fails.
+    unfinished sample with it. Those are retried once together in a fresh pool
+    of `workers`; only the samples that break that pool too are then retried
+    one at a time, each alone in a one-worker pool, so only a sample that
+    breaks its own pool fails.
     """
+    broken = yield from _unless_broken(_pool_outcomes(pending, workers, initargs))
+    if broken:
+        logger.warning("a worker died; retrying samples %s in a fresh pool", broken)
+        broken = yield from _unless_broken(_pool_outcomes(broken, workers, initargs))
+    if broken:
+        logger.warning("a worker died again; retrying samples %s one at a time", broken)
+    for index in broken:
+        yield from _pool_outcomes([index], 1, initargs)
+
+
+def _unless_broken(outcomes):
+    """Pass on the outcomes not failed by a broken pool; return the indices
+    of those that were."""
     broken = []
-    for index, paths, error in _pool_outcomes(pending, workers, initargs):
+    for index, paths, error in outcomes:
         if isinstance(error, BrokenProcessPool):
             broken.append(index)
         else:
             yield index, paths, error
-    if broken:
-        logger.warning("a worker died; retrying samples %s one at a time", broken)
-    for index in broken:
-        yield from _pool_outcomes([index], 1, initargs)
+    return broken
 
 
 def _pool_outcomes(pending, workers, initargs):
@@ -343,7 +356,8 @@ def generate_batch(
     before anything is generated. With ``workers <= 1`` the samples run in
     the calling process, otherwise in a pool of that many forked workers.
     Failures are collected per sample instead of aborting; the samples of a
-    pool whose worker died are retried once each.
+    pool whose worker died are retried, first in a fresh pool of `workers`,
+    then one at a time.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -401,10 +415,13 @@ def replay_manifest(manifest: SampleManifest, maps, map_ids=None) -> SamplePair:
 
 
 def load_maps_dir(maps_dir) -> tuple[list[Volume], list[str]]:
-    """Read all NIfTI label maps in a directory, sorted by name."""
+    """Read all NIfTI label maps in a directory, sorted by name. Hidden files,
+    such as the temporary sibling of an interrupted write, are skipped."""
     maps_dir = Path(maps_dir)
     paths = sorted(
-        p for p in maps_dir.iterdir() if p.name.endswith((".nii", ".nii.gz"))
+        p
+        for p in maps_dir.iterdir()
+        if p.name.endswith((".nii", ".nii.gz")) and not p.name.startswith(".")
     )
     if not paths:
         raise FileNotFoundError(f"no .nii or .nii.gz label maps in {maps_dir}")

@@ -1,6 +1,11 @@
+import errno
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import voxsynth.nifti as nifti_module
 from voxsynth.schema import LabelEntry, LabelSchema
 from voxsynth.volume import Volume
 
@@ -33,3 +38,23 @@ def tiny_schema() -> LabelSchema:
         LabelEntry(7, "right spot", "lesion", 6, 2, False, False, False),
     ]
     return LabelSchema(entries, source="tiny")
+
+
+class _DiskFull(io.FileIO):
+    """A file that stores the first bytes of its first write, then fails."""
+
+    def write(self, b):
+        super().write(bytes(memoryview(b).cast("B")[:100]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_writes(monkeypatch, fragment):
+    """Make every write-mode open in voxsynth.nifti of a path whose name holds
+    `fragment` fail partway through its first write."""
+
+    def opener(path, mode="r", *args, **kwargs):
+        if "w" in mode and fragment in Path(path).name:
+            return _DiskFull(path, "wb")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(nifti_module, "open", opener, raising=False)

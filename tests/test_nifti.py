@@ -7,7 +7,7 @@ import pytest
 from voxsynth.nifti import read_nifti, write_nifti
 from voxsynth.volume import Volume
 
-from conftest import make_image, make_labels
+from conftest import fail_writes, make_image, make_labels
 
 
 def volumes_equal(a: Volume, b: Volume) -> bool:
@@ -195,3 +195,60 @@ def test_big_endian_read(tmp_path):
     (tmp_path / "be.nii").write_bytes(bytes(be))
     back = read_nifti(tmp_path / "be.nii")
     assert np.array_equal(back.data, v.data)
+
+
+def background_image(rng, n=64):
+    """Uniform noise whose first two-thirds along z are exact zeros, like the
+    contiguous background of a skull-stripped scan."""
+    data = rng.uniform(0.0, 100.0, (n, n, n)).astype(np.float32)
+    data[:, :, : 2 * n // 3] = 0.0
+    return make_image(data).astype(np.float32)
+
+
+def test_gzip_payload_equals_plain_file_for_labels_and_background(tmp_path, rng):
+    labels = make_labels(rng.integers(0, 40, (16, 12, 8)))
+    for name, v, dtype in (("lab", labels, np.int32), ("img", background_image(rng, 16), np.float32)):
+        write_nifti(v, tmp_path / f"{name}.nii", datatype=dtype)
+        write_nifti(v, tmp_path / f"{name}.nii.gz", datatype=dtype)
+        raw_plain = (tmp_path / f"{name}.nii").read_bytes()
+        assert gzip.decompress((tmp_path / f"{name}.nii.gz").read_bytes()) == raw_plain, name
+        assert volumes_equal(read_nifti(tmp_path / f"{name}.nii.gz"), v), name
+
+
+def test_identical_label_volumes_give_identical_gz_bytes(tmp_path, rng):
+    v = make_labels(rng.integers(0, 40, (10, 9, 8)))
+    write_nifti(v, tmp_path / "a.nii.gz")
+    write_nifti(v, tmp_path / "b.nii.gz")
+    assert (tmp_path / "a.nii.gz").read_bytes() == (tmp_path / "b.nii.gz").read_bytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float32])
+def test_gzip_header_stores_no_mtime_and_no_name(tmp_path, rng, dtype):
+    v = Volume(rng.integers(0, 9, (4, 4, 4)).astype(dtype))
+    write_nifti(v, tmp_path / "named.nii.gz", datatype=dtype)
+    raw = (tmp_path / "named.nii.gz").read_bytes()
+    assert raw[:3] == b"\x1f\x8b\x08"  # gzip magic, deflate
+    assert raw[3] == 0  # FLG: no name, comment or extra field
+    assert struct.unpack_from("<I", raw, 4)[0] == 0  # MTIME
+
+
+def test_float_background_compresses_like_level_9(tmp_path, rng):
+    # run-length matching codes the zero background as well as level-9 LZ
+    # matching does; Huffman-only coding would be about 1.28x
+    v = background_image(rng)
+    write_nifti(v, tmp_path / "bg.nii", datatype=np.float32)
+    write_nifti(v, tmp_path / "bg.nii.gz", datatype=np.float32)
+    level_9 = len(gzip.compress((tmp_path / "bg.nii").read_bytes(), 9))
+    assert len((tmp_path / "bg.nii.gz").read_bytes()) <= 1.02 * level_9
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_failed_write_leaves_the_old_file_and_no_other(tmp_path, rng, monkeypatch, suffix):
+    path = tmp_path / f"vol{suffix}"
+    write_nifti(make_labels(np.ones((4, 4, 4))), path)
+    before = path.read_bytes()
+    fail_writes(monkeypatch, "vol")
+    with pytest.raises(OSError, match="No space"):
+        write_nifti(make_labels(rng.integers(0, 9, (8, 8, 8))), path)
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]

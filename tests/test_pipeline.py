@@ -7,12 +7,13 @@ import pytest
 
 from voxsynth.config import GeneratorConfig
 from voxsynth.manifest import SampleManifest
-from voxsynth.nifti import read_nifti
+from voxsynth.nifti import read_nifti, write_nifti
 from voxsynth.phantom import demo_phantom
 from voxsynth.pipeline import (
     PipelineError,
     generate_batch,
     generate_sample,
+    load_maps_dir,
     preprocess_for_inference,
     replay_manifest,
     sample_file_names,
@@ -20,7 +21,7 @@ from voxsynth.pipeline import (
 )
 from voxsynth.schema import load_schema
 
-from conftest import make_image, make_labels
+from conftest import fail_writes, make_image, make_labels
 
 
 def slab_map(n=12):
@@ -207,10 +208,22 @@ class TestGenerateBatch:
                 os._exit(1)
             return original(maps, cfg, index, **kwargs)
 
+        pools = []
+        pool_outcomes = pipeline_module._pool_outcomes
+
+        def recorded(pending, workers, initargs):
+            pools.append((list(pending), workers))
+            return pool_outcomes(pending, workers, initargs)
+
         monkeypatch.setattr(pipeline_module, "generate_sample", killed)
+        monkeypatch.setattr(pipeline_module, "_pool_outcomes", recorded)
         out = tmp_path / "out"
         result = generate_batch(maps, fast_cfg, 3, out, workers=2)
         assert set(result.failures) == {1}
+        # the first retry runs at full width; only then are samples isolated
+        assert pools[0] == ([0, 1, 2], 2)
+        assert 1 in pools[1][0] and pools[1][1] == 2
+        assert ([1], 1) in pools[2:] and all(width == 1 for _, width in pools[2:])
         assert len(result.written) == 2
         for i in (0, 2):
             for name in sample_file_names(i):
@@ -221,6 +234,31 @@ class TestGenerateBatch:
         for i in range(3):
             for name in sample_file_names(i):
                 assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes(), name
+
+    def test_write_failing_partway_leaves_no_partial_file(self, tmp_path, fast_cfg, monkeypatch):
+        maps = [demo_phantom(24)]
+        out = tmp_path / "out"
+        generate_batch(maps, fast_cfg, 2, out)
+        originals = {
+            name: (out / name).read_bytes() for i in range(2) for name in sample_file_names(i)
+        }
+        image = out / sample_file_names(0)[0]
+        image.unlink()
+        fail_writes(monkeypatch, image.name.removesuffix(".nii.gz"))
+        result = generate_batch(maps, fast_cfg, 2, out)
+        assert set(result.failures) == {0}
+        assert sorted(p.name for p in out.iterdir()) == sorted(set(originals) - {image.name})
+        monkeypatch.undo()
+        resumed = generate_batch(maps, fast_cfg, 2, out)
+        assert resumed.ok and resumed.skipped == [1]
+        for name, blob in originals.items():
+            assert (out / name).read_bytes() == blob, name
+
+    def test_maps_dir_skips_hidden_files(self, tmp_path):
+        write_nifti(slab_map(), tmp_path / "a.nii")
+        (tmp_path / ".a.123.tmp.nii").write_bytes(b"partial")  # an interrupted write
+        maps, ids = load_maps_dir(tmp_path)
+        assert ids == ["a"] and len(maps) == 1
 
     def test_resume_refuses_another_runs_samples(self, tmp_path, fast_cfg):
         maps = [demo_phantom(24)]
