@@ -235,19 +235,20 @@ class TestGenerateBatch:
             for name in sample_file_names(i):
                 assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes(), name
 
-    def test_write_failing_partway_leaves_no_partial_file(self, tmp_path, fast_cfg, monkeypatch):
+    @pytest.mark.parametrize("kind", [0, 2], ids=["image", "manifest"])
+    def test_write_failing_partway_leaves_no_partial_file(self, tmp_path, fast_cfg, monkeypatch, kind):
         maps = [demo_phantom(24)]
         out = tmp_path / "out"
         generate_batch(maps, fast_cfg, 2, out)
         originals = {
             name: (out / name).read_bytes() for i in range(2) for name in sample_file_names(i)
         }
-        image = out / sample_file_names(0)[0]
-        image.unlink()
-        fail_writes(monkeypatch, image.name.removesuffix(".nii.gz"))
+        lost = out / sample_file_names(0)[kind]
+        lost.unlink()
+        fail_writes(monkeypatch, lost.name.split(".")[0] + ".")  # this file's name only
         result = generate_batch(maps, fast_cfg, 2, out)
         assert set(result.failures) == {0}
-        assert sorted(p.name for p in out.iterdir()) == sorted(set(originals) - {image.name})
+        assert sorted(p.name for p in out.iterdir()) == sorted(set(originals) - {lost.name})
         monkeypatch.undo()
         resumed = generate_batch(maps, fast_cfg, 2, out)
         assert resumed.ok and resumed.skipped == [1]
