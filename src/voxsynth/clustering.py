@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Volume
+from .volume import Volume, relabel
 
 __all__ = [
     "Gmm1D",
@@ -202,15 +202,11 @@ def subdivide_labels(
 
 
 def apply_parent_mapping(sub_labels: Volume, mapping: dict[int, int]) -> Volume:
-    """Collapse sub-labels back to their parents (reset to the initial labels)."""
+    """Collapse sub-labels back to their parents (reset to the initial
+    labels), keeping the dtype of `sub_labels`."""
     data = sub_labels.data
     present = np.unique(data)
     missing = [int(v) for v in present if int(v) not in mapping and int(v) != 0]
     if missing:
         raise ValueError(f"sub-labels {missing} have no parent mapping")
-    max_id = int(present.max()) if present.size else 0
-    lut = np.zeros(max_id + 1, dtype=np.int64)
-    for sub, parent in mapping.items():
-        if sub <= max_id:
-            lut[sub] = parent
-    return sub_labels.with_data(lut[data])
+    return sub_labels.with_data(relabel(data, mapping))

@@ -16,7 +16,7 @@ import numpy as np
 # perfbench's traced runs wrap `deform.map_coordinates` to count calls
 from scipy.ndimage import map_coordinates  # noqa: F401
 
-from .volume import Volume, resize_trilinear
+from .volume import Volume, axis_coordinates, nearest_indices, resize_trilinear
 
 __all__ = [
     "AffineParams",
@@ -268,23 +268,16 @@ def warp_labels(labels: Volume, field: DeformationField) -> Volume:
         raise ValueError("warp_labels operates on label volumes")
     if labels.dims != field.dims:
         raise ValueError(f"field dims {field.dims} do not match volume dims {labels.dims}")
-    nx, ny, nz = labels.dims
-    ident = _identity_grid(labels.dims)
-    coords = ident + field.displacement
     flat = None
-    for c, n in enumerate((nx, ny, nz)):
-        np.clip(coords[c], 0.0, n - 1.0, out=coords[c])
-        coords[c] += 0.5
-        np.floor(coords[c], out=coords[c])
-        idx = np.minimum(coords[c].astype(np.intp), n - 1)
+    for c, n in enumerate(labels.dims):
+        idx = nearest_indices(field.displacement[c] + axis_coordinates(labels.dims, c), n)
         if flat is None:
             flat = idx
         else:
             flat *= n
             flat += idx
     data = np.ascontiguousarray(labels.data)
-    warped = data.ravel()[flat]
-    return labels.with_data(warped)
+    return labels.with_data(data.ravel()[flat])
 
 
 def jacobian_determinant(field: DeformationField) -> Volume:

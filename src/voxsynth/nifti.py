@@ -27,7 +27,6 @@ import os
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,33 +51,6 @@ _DTYPE_FOR_CODE = {code: dt for dt, code in _CODE_FOR_DTYPE.items()}
 _BITPIX = {2: 8, 4: 16, 8: 32, 16: 32}
 
 
-@dataclass(frozen=True)
-class _Header:
-    """Decoded subset of the NIfTI-1 header that this package acts on."""
-
-    datatype: int
-    dims: tuple[int, int, int]
-    pixdim: tuple[float, float, float]
-    scl_slope: float
-    scl_inter: float
-    vox_offset: int
-    affine: np.ndarray
-
-
-def _is_gzip(path: Path) -> bool:
-    with open(path, "rb") as f:
-        head = f.read(2)
-    return head == b"\x1f\x8b"
-
-
-def _read_bytes(path: Path) -> bytes:
-    if _is_gzip(path):
-        with gzip.open(path, "rb") as f:
-            return f.read()
-    with open(path, "rb") as f:
-        return f.read()
-
-
 def _quaternion_affine(b: float, c: float, d: float, offsets, pixdim, qfac: float) -> np.ndarray:
     a_sq = 1.0 - (b * b + c * c + d * d)
     a = np.sqrt(a_sq) if a_sq > 0 else 0.0
@@ -97,8 +69,16 @@ def _quaternion_affine(b: float, c: float, d: float, offsets, pixdim, qfac: floa
     return affine
 
 
-def _parse_header(raw: bytes) -> tuple[_Header, str]:
-    """Decode the fixed header; returns the header and the byte-order prefix."""
+def read_nifti(path) -> Volume:
+    """Load a ``.nii`` or ``.nii.gz`` file as a :class:`Volume`.
+
+    Voxel values are rescaled by ``scl_slope``/``scl_inter`` when the header
+    declares a non-trivial scaling (slope not in {0, 1} or nonzero intercept),
+    in which case the result is a float image.
+    """
+    raw = Path(path).read_bytes()
+    if raw[:2] == b"\x1f\x8b":
+        raw = gzip.decompress(raw)
     if len(raw) < HEADER_SIZE:
         raise OSError(f"truncated file: {len(raw)} bytes, header needs {HEADER_SIZE}")
     order = "<"
@@ -145,49 +125,27 @@ def _parse_header(raw: bytes) -> tuple[_Header, str]:
     else:
         affine = np.diag([spacing[0], spacing[1], spacing[2], 1.0])
 
-    header = _Header(
-        datatype=int(datatype),
-        dims=dims,
-        pixdim=spacing,
-        scl_slope=float(scl_slope),
-        scl_inter=float(scl_inter),
-        vox_offset=int(vox_offset),
-        affine=affine,
-    )
-    return header, order
-
-
-def read_nifti(path) -> Volume:
-    """Load a ``.nii`` or ``.nii.gz`` file as a :class:`Volume`.
-
-    Voxel values are rescaled by ``scl_slope``/``scl_inter`` when the header
-    declares a non-trivial scaling (slope not in {0, 1} or nonzero intercept),
-    in which case the result is a float image.
-    """
-    path = Path(path)
-    raw = _read_bytes(path)
-    header, order = _parse_header(raw)
-
-    if header.datatype not in _DTYPE_FOR_CODE:
+    if datatype not in _DTYPE_FOR_CODE:
         raise ValueError(
-            f"unsupported NIfTI datatype code {header.datatype}; "
+            f"unsupported NIfTI datatype code {datatype}; "
             "supported: uint8 (2), int16 (4), int32 (8), float32 (16)"
         )
-    dtype = _DTYPE_FOR_CODE[header.datatype].newbyteorder(order)
-    count = int(np.prod(header.dims))
-    start = header.vox_offset if header.vox_offset >= HEADER_SIZE else VOX_OFFSET
+    dtype = _DTYPE_FOR_CODE[datatype].newbyteorder(order)
+    count = int(np.prod(dims))
+    start = int(vox_offset)
+    if start < HEADER_SIZE:
+        start = VOX_OFFSET
     end = start + count * dtype.itemsize
     if len(raw) < end:
         raise OSError(f"truncated file: need {end} bytes of voxel data, have {len(raw)}")
 
-    data = np.frombuffer(raw[start:end], dtype=dtype).reshape(header.dims, order="F")
+    data = np.frombuffer(raw[start:end], dtype=dtype).reshape(dims, order="F")
     data = np.ascontiguousarray(data.astype(dtype.newbyteorder("="), copy=True))
 
-    slope, inter = header.scl_slope, header.scl_inter
-    if slope != 0.0 and (slope != 1.0 or inter != 0.0):
-        data = data.astype(np.float64) * slope + inter
+    if scl_slope != 0.0 and (scl_slope != 1.0 or scl_inter != 0.0):
+        data = data.astype(np.float64) * scl_slope + scl_inter
 
-    return Volume(data, header.pixdim, header.affine)
+    return Volume(data, spacing, affine)
 
 
 def _resolve_datatype(v: Volume, datatype) -> np.dtype:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .volume import Volume
+from .volume import Volume, axis_coordinates
 
 __all__ = ["demo_phantom"]
 
@@ -29,8 +29,7 @@ def demo_phantom(size: int = 64) -> Volume:
     if n < 16:
         raise ValueError(f"phantom size must be >= 16, got {n}")
     centre = (n - 1) / 2.0
-    idx = np.indices((n, n, n), dtype=np.float64)
-    u = [(idx[a] - centre) / (n / 2.0) for a in range(3)]
+    u = [(axis_coordinates((n, n, n), a) - centre) / (n / 2.0) for a in range(3)]
 
     def inside(centre_u, radii) -> np.ndarray:
         cx, cy, cz = centre_u

@@ -25,7 +25,6 @@ from .config import GeneratorConfig
 from .deform import compose_transforms, integrate_svf, sample_affine, sample_svf, upsample_svf, warp_labels
 from .manifest import SampleManifest
 from .nifti import read_nifti, write_nifti
-from .resolution import AXIS_NAMES
 from .schema import LabelSchema, load_schema
 from .volume import Volume, crop_at, draw_crop_offset, flip_lr, resample
 
@@ -201,7 +200,7 @@ def generate_sample(
     with _stage("resolution", stages):
         res = resolution.sample_resolution(cfg, rng)
         manifest.resolution = {
-            "axis": AXIS_NAMES[res.axis],
+            "axis": res.axis_name,
             "slice_spacing_mm": res.slice_spacing,
             "slice_thickness_mm": res.slice_thickness,
             "alpha": res.alpha,

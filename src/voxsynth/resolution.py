@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .volume import Volume, _lerp_along_axis, axis_positions
+from .volume import Volume, resample_axis
 
 __all__ = [
     "ResolutionParams",
@@ -111,11 +111,6 @@ def blur_axis(image: Volume, sigma: float, axis: int) -> Volume:
     return image.with_data(out)
 
 
-def _resample_axis(data: np.ndarray, axis: int, n_dst: int, s_dst: float, s_src: float) -> np.ndarray:
-    pos = axis_positions(n_dst, s_dst, data.shape[axis], s_src)
-    return _lerp_along_axis(data, pos, axis)
-
-
 def simulate_lr(image: Volume, params: ResolutionParams, isotropic: bool = False) -> Volume:
     """Simulate a low-resolution acquisition and return it on the native grid.
 
@@ -143,6 +138,6 @@ def simulate_lr(image: Volume, params: ResolutionParams, isotropic: bool = False
     for axis in axes:
         n_native = image.dims[axis]
         n_low = max(1, int(np.floor(n_native * params.hr_spacing / params.slice_spacing + 0.5)))
-        data = _resample_axis(data, axis, n_low, params.slice_spacing, params.hr_spacing)
-        data = _resample_axis(data, axis, n_native, params.hr_spacing, params.slice_spacing)
+        data = resample_axis(data, axis, n_low, params.slice_spacing, params.hr_spacing)
+        data = resample_axis(data, axis, n_native, params.hr_spacing, params.slice_spacing)
     return image.with_data(data)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .schema import BACKGROUND, LabelSchema, SchemaError
-from .volume import Volume
+from .volume import Volume, relabel
 
 __all__ = [
     "STRIP_NONE",
@@ -21,16 +21,6 @@ __all__ = [
 STRIP_NONE = "none"
 STRIP_FULL = "full"
 STRIP_KEEP_CSF = "keep_csf"
-
-
-def _relabel(data: np.ndarray, mapping: dict[int, int]) -> np.ndarray:
-    if not mapping:
-        return data.copy()
-    max_label = max(int(data.max()), max(mapping))
-    lut = np.arange(max_label + 1, dtype=np.int64)
-    for src, dst in mapping.items():
-        lut[src] = dst
-    return lut[data].astype(data.dtype)
 
 
 def draw_strip_branch(rng) -> str:
@@ -53,7 +43,7 @@ def apply_skullstrip(labels: Volume, schema: LabelSchema, branch: str) -> Volume
     elif branch not in (STRIP_FULL, STRIP_KEEP_CSF):
         raise ValueError(f"unknown strip branch {branch!r}")
     mapping = {lab: BACKGROUND for lab in stripped}
-    return labels.with_data(_relabel(labels.data, mapping))
+    return labels.with_data(relabel(labels.data, mapping))
 
 
 def draw_lesion_keep(rng) -> bool:
@@ -71,7 +61,7 @@ def apply_lesion_dropout(labels: Volume, schema: LabelSchema, keep: bool) -> Vol
             raise SchemaError(f"lesion label {lesion} has no host mapping")
         if lesion in present:
             mapping[lesion] = host
-    return labels.with_data(_relabel(labels.data, mapping))
+    return labels.with_data(relabel(labels.data, mapping))
 
 
 def build_target(deformed_labels: Volume, schema: LabelSchema) -> Volume:
@@ -83,4 +73,4 @@ def build_target(deformed_labels: Volume, schema: LabelSchema) -> Volume:
         for v in present
         if int(v) != BACKGROUND and int(v) not in schema.target_labels
     }
-    return deformed_labels.with_data(_relabel(data, mapping))
+    return deformed_labels.with_data(relabel(data, mapping))

@@ -8,6 +8,10 @@ memory order. Volumes are immutable: every operation returns a new instance.
 Resampling follows a single grid convention used package-wide: voxel values
 sit at voxel centres, the centre of the field of view is fixed under any
 change of grid, and lookups outside the grid clamp to the nearest edge voxel.
+This module is the only one that knows how a voxel is looked up: linear
+resampling along an axis (:func:`resample_axis`), round-half-up nearest
+indices (:func:`nearest_indices`) and label lookup tables (:func:`relabel`)
+live here, and the other modules call them.
 """
 
 from __future__ import annotations
@@ -137,15 +141,13 @@ class LabelPairTable:
         flat = {v for pair in self.pairs for v in pair}
         return frozenset(flat | set(self.neutral))
 
-    def swap_lut(self, max_label: int) -> np.ndarray:
-        """Identity lookup table with each pair's values exchanged."""
-        lut = np.arange(max_label + 1, dtype=np.int64)
+    def swaps(self) -> dict[int, int]:
+        """Each paired label mapped to its partner."""
+        swaps = {}
         for right, left in self.pairs:
-            if right <= max_label:
-                lut[right] = left
-            if left <= max_label:
-                lut[left] = right
-        return lut
+            swaps[right] = left
+            swaps[left] = right
+        return swaps
 
 
 # ---------------------------------------------------------------------------
@@ -162,23 +164,32 @@ def axis_positions(n_dst: int, s_dst: float, n_src: int, s_src: float) -> np.nda
     return (i + 0.5 - n_dst / 2.0) * (s_dst / s_src) + n_src / 2.0 - 0.5
 
 
-def _lerp_along_axis(data: np.ndarray, pos: np.ndarray, axis: int) -> np.ndarray:
-    """Linear interpolation of `data` at fractional positions along one axis."""
+def axis_coordinates(dims, axis: int) -> np.ndarray:
+    """Float64 voxel indices along `axis`, shaped to broadcast against `dims`."""
+    shape = [1] * len(dims)
+    shape[axis] = dims[axis]
+    return np.arange(dims[axis], dtype=np.float64).reshape(shape)
+
+
+def resample_axis(data: np.ndarray, axis: int, n_dst: int, s_dst: float, s_src: float) -> np.ndarray:
+    """Linear resampling of `data` along one axis onto `n_dst` voxels of
+    `s_dst` spacing, the source voxels being `s_src` apart (the
+    :func:`axis_positions` grid), with edge clamping."""
     n = data.shape[axis]
-    p = np.clip(pos, 0.0, n - 1.0)
+    p = np.clip(axis_positions(n_dst, s_dst, n, s_src), 0.0, n - 1.0)
     i0 = np.floor(p).astype(np.intp)
     if n > 1:
         np.minimum(i0, n - 2, out=i0)
     f = p - i0
     shape = [1] * data.ndim
-    shape[axis] = len(pos)
+    shape[axis] = n_dst
     f = f.reshape(shape)
     lo = np.take(data, i0, axis=axis)
     hi = np.take(data, np.minimum(i0 + 1, n - 1), axis=axis)
     return (1.0 - f) * lo + f * hi
 
 
-def _nearest_indices(pos: np.ndarray, n: int) -> np.ndarray:
+def nearest_indices(pos: np.ndarray, n: int) -> np.ndarray:
     """Round-half-up nearest voxel indices with edge clamping."""
     idx = np.floor(np.clip(pos, 0.0, n - 1.0) + 0.5).astype(np.intp)
     return np.minimum(idx, n - 1)
@@ -196,8 +207,7 @@ def resize_trilinear(data: np.ndarray, target_dims) -> np.ndarray:
         n_dst = int(target_dims[axis])
         if n_dst == n_src:
             continue
-        pos = axis_positions(n_dst, n_src / n_dst, n_src, 1.0)
-        out = _lerp_along_axis(out, pos, axis)
+        out = resample_axis(out, axis, n_dst, n_src / n_dst, 1.0)
     return out
 
 
@@ -246,12 +256,12 @@ def resample(v: Volume, target_spacing, mode: str = "trilinear") -> Volume:
     new_affine = _resampled_affine(v.affine, positions, steps)
 
     if mode == "nearest":
-        idx = [_nearest_indices(positions[a], v.dims[a]) for a in range(3)]
+        idx = [nearest_indices(positions[a], v.dims[a]) for a in range(3)]
         out = v.data[np.ix_(idx[0], idx[1], idx[2])]
     else:
         out = np.asarray(v.data, dtype=np.float64)
         for a in range(3):
-            out = _lerp_along_axis(out, positions[a], a)
+            out = resample_axis(out, a, dims_out[a], target_spacing[a], v.spacing[a])
     return Volume(out, target_spacing, new_affine)
 
 
@@ -299,8 +309,23 @@ def flip_lr(labels: Volume, table: LabelPairTable) -> Volume:
             raise ValueError(
                 f"label {int(value)} is in the volume but not in the flip table"
             )
-    axis = lr_axis(labels.affine)
-    mirrored = np.flip(labels.data, axis=axis)
-    lut = table.swap_lut(int(present.max()) if present.size else 0)
-    swapped = lut[mirrored].astype(labels.dtype)
-    return labels.with_data(swapped)
+    mirrored = np.flip(labels.data, axis=lr_axis(labels.affine))
+    return labels.with_data(relabel(mirrored, table.swaps()))
+
+
+def relabel(data: np.ndarray, mapping: dict[int, int]) -> np.ndarray:
+    """Label array with each key of `mapping` replaced by its value; values
+    the mapping does not name are kept, and so is the dtype.
+
+    Labels index a lookup table, so a negative label in the data or in the
+    mapping's keys raises ``ValueError``.
+    """
+    lowest = min([int(data.min()), *mapping])
+    if lowest < 0:
+        raise ValueError(f"negative label {lowest} cannot index a lookup table")
+    if not mapping:
+        return data.copy()
+    lut = np.arange(max(int(data.max()), max(mapping)) + 1, dtype=np.int64)
+    for src, dst in mapping.items():
+        lut[src] = dst
+    return lut[data].astype(data.dtype)

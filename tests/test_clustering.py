@@ -129,3 +129,17 @@ class TestSubdivide:
     def test_geometry_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="dims"):
             subdivide_labels(make_image(np.zeros((3, 3, 3))), make_labels(np.zeros((4, 4, 4))), rng=rng)
+
+    def test_parent_mapping_keeps_the_dtype(self):
+        data = np.array([0, 1001, 1002, 2001], dtype=np.int32).reshape(4, 1, 1)
+        restored = apply_parent_mapping(make_labels(data), {1001: 1, 1002: 1, 2001: 2})
+        assert restored.dtype == np.int32
+        assert restored.data.ravel().tolist() == [0, 1, 1, 2]
+
+    def test_negative_labels_rejected_by_parent_mapping(self):
+        data = make_labels(np.array([0, 0, 3]).reshape(3, 1, 1))
+        # a table indexed by -1 would write its last entry, the parent of 3
+        with pytest.raises(ValueError, match="negative label -1"):
+            apply_parent_mapping(data, {3: 1, -1: 5})
+        with pytest.raises(ValueError, match="negative label -2"):
+            apply_parent_mapping(make_labels(np.array([-2, 0, 3]).reshape(3, 1, 1)), {-2: 1, 3: 1})

@@ -315,6 +315,20 @@ class TestWarpLabels:
                         src.append(min(int(np.floor(coord + 0.5)), 7))
                     assert out.data[i, j, k] == data[src[0], src[1], src[2]]
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_half_voxel_ties_round_up(self, rng, axis):
+        data = rng.integers(0, 50, size=(5, 6, 7))
+        v = make_labels(data)
+        n = data.shape[axis]
+        disp = np.zeros((3, 5, 6, 7))
+        disp[axis] = 0.5
+        out = warp_labels(v, DeformationField(disp))
+        expected = np.take(data, np.minimum(np.arange(n) + 1, n - 1), axis=axis)
+        assert np.array_equal(out.data, expected)
+        disp[axis] = -0.5
+        out = warp_labels(v, DeformationField(disp))
+        assert np.array_equal(out.data, data)
+
     def test_never_invents_labels(self, rng):
         v = make_labels(rng.integers(3, 7, size=(6, 6, 6)))
         disp = rng.uniform(-10, 10, size=(3, 6, 6, 6))

@@ -8,6 +8,7 @@ from voxsynth.volume import (
     crop_at,
     draw_crop_offset,
     flip_lr,
+    relabel,
     resample,
 )
 
@@ -253,3 +254,24 @@ class TestFlip:
             LabelPairTable(pairs=((1, 2), (2, 3)), neutral=frozenset())
         with pytest.raises(ValueError):
             LabelPairTable(pairs=((1, 2),), neutral=frozenset({2}))
+
+    def test_negative_label_in_the_volume_rejected(self):
+        table = LabelPairTable(pairs=((5, -1),), neutral=frozenset({0}))
+        data = np.array([-1, 0, 0, 0]).reshape(4, 1, 1)
+        # a swap table indexed by -1 turned the whole line into 5
+        with pytest.raises(ValueError, match="negative label -1"):
+            flip_lr(make_labels(data), table)
+
+    def test_negative_label_in_the_table_rejected(self):
+        table = LabelPairTable(pairs=((5, -1),), neutral=frozenset({0}))
+        data = np.array([5, 0, 0, 0]).reshape(4, 1, 1)
+        with pytest.raises(ValueError, match="negative label -1"):
+            flip_lr(make_labels(data), table)
+
+
+class TestRelabel:
+    def test_negative_values_rejected(self):
+        with pytest.raises(ValueError, match="negative label -3"):
+            relabel(np.array([-3, 1]).reshape(2, 1, 1), {})
+        with pytest.raises(ValueError, match="negative label -1"):
+            relabel(np.array([0, 1]).reshape(2, 1, 1), {-1: 1})
