@@ -76,9 +76,11 @@ def read_nifti(path) -> Volume:
     declares a non-trivial scaling (slope not in {0, 1} or nonzero intercept),
     in which case the result is a float image.
     """
-    raw = Path(path).read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+    with open(path, "rb") as f:
+        gzipped = f.read(2) == b"\x1f\x8b"
+        f.seek(0)
+        # decoded from the open file, so the compressed bytes are never held whole
+        raw = gzip.GzipFile(fileobj=f).read() if gzipped else f.read()
     if len(raw) < HEADER_SIZE:
         raise OSError(f"truncated file: {len(raw)} bytes, header needs {HEADER_SIZE}")
     order = "<"
@@ -139,8 +141,8 @@ def read_nifti(path) -> Volume:
     if len(raw) < end:
         raise OSError(f"truncated file: need {end} bytes of voxel data, have {len(raw)}")
 
-    data = np.frombuffer(raw[start:end], dtype=dtype).reshape(dims, order="F")
-    data = np.ascontiguousarray(data.astype(dtype.newbyteorder("="), copy=True))
+    data = np.frombuffer(raw, dtype=dtype, count=count, offset=start).reshape(dims, order="F")
+    data = np.array(data, dtype=dtype.newbyteorder("="), order="C")
 
     if scl_slope != 0.0 and (scl_slope != 1.0 or scl_inter != 0.0):
         data = data.astype(np.float64) * scl_slope + scl_inter
