@@ -39,10 +39,6 @@ class Gmm1D:
     log_likelihoods: tuple[float, ...]
 
     @property
-    def k(self) -> int:
-        return len(self.weights)
-
-    @property
     def log_likelihood(self) -> float:
         return self.log_likelihoods[-1]
 

@@ -8,7 +8,6 @@ up. Out-of-grid lookups clamp to the edge voxel.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +65,6 @@ class DeformationField:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.displacement.shape[1:]
-
-
-@functools.lru_cache(maxsize=2)
-def _identity_grid(dims: tuple[int, int, int]) -> np.ndarray:
-    grid = np.indices(dims, dtype=np.float64)
-    grid.setflags(write=False)
-    return grid
 
 
 def affine_matrix(params: AffineParams, dims, spacing=(1.0, 1.0, 1.0)) -> np.ndarray:
@@ -189,32 +181,42 @@ def _self_compose(disp: np.ndarray, out: np.ndarray) -> None:
     ``w0 = 1 - x`` and ``w1 = 1 - w0`` from the unclamped coordinate, indices
     clamped to the grid, and a sum from +0.0 over the 8 corner terms
     ``((v * wx) * wy) * wz`` with the last axis fastest. It runs over blocks of
-    `_BLOCK` flat voxels so that the 8 gathers of all three components stay in
-    cache, which makes it about twice as fast as three whole-volume calls.
+    whole z-rows, at least `_BLOCK` voxels each, so that the 8 gathers of all
+    three components stay in cache, which makes it about twice as fast as
+    three whole-volume calls. A voxel's coordinate is its row's (x, y) and its
+    z, all exact integers, plus its displacement.
     """
     if not (disp.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("_self_compose needs C-contiguous arrays")
     dims = disp.shape[1:]
+    nz = dims[2]
     src = disp.reshape(3, -1)
     dst = out.reshape(3, -1)
-    ident = _identity_grid(dims).reshape(3, -1)
-    total = src.shape[1]
-    width = min(_BLOCK, total)
+    rows = dims[0] * dims[1]
+    rows_per = -(-_BLOCK // nz)
+    rows_xy = np.empty((2,) + dims[:2])
+    for c in range(2):
+        rows_xy[c] = axis_coordinates(dims[:2], c)
+    rows_xy = rows_xy.reshape(2, rows, 1)
+    z_tiled = np.tile(np.arange(nz, dtype=np.float64), min(rows_per, rows))
+    width = z_tiled.size
     coord, floor, value, acc = np.empty((4, 3, width))
     weights = np.empty((2, 3, width))  # [w0, w1] per axis
     index = np.empty((2, 3, width), dtype=np.intp)  # clamped [floor, floor + 1] times stride
     pairs = np.empty((4, width), dtype=np.intp)
     corners = np.empty((8, width), dtype=np.intp)
     last = np.array(dims, dtype=np.intp).reshape(3, 1) - 1
-    strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.intp).reshape(3, 1)
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
+    strides = np.array([dims[1] * nz, nz, 1], dtype=np.intp).reshape(3, 1)
+    for r0 in range(0, rows, rows_per):
+        r1 = min(r0 + rows_per, rows)
+        start, stop = r0 * nz, r1 * nz
         if stop - start != width:  # the shorter last block
             width = stop - start
             coord, floor, value, acc, weights, index, pairs, corners = (
                 buf[..., :width] for buf in (coord, floor, value, acc, weights, index, pairs, corners)
             )
-        np.add(ident[:, start:stop], src[:, start:stop], out=coord)
+        np.add(rows_xy[:, r0:r1], src[:2, start:stop].reshape(2, -1, nz), out=coord[:2].reshape(2, -1, nz))
+        np.add(z_tiled[:width], src[2, start:stop], out=coord[2])
         np.floor(coord, out=floor)
         np.subtract(coord, floor, out=coord)
         np.subtract(1.0, coord, out=weights[0])
@@ -252,12 +254,14 @@ def compose_transforms(matrix: np.ndarray, nonlin: DeformationField) -> Deformat
     if abs(np.linalg.det(matrix[:3, :3])) < 1e-12:
         raise ValueError("affine matrix is singular")
     dims = nonlin.dims
-    ident = _identity_grid(dims)
-    points = ident + nonlin.displacement
+    points = np.empty(nonlin.displacement.shape)
+    for c in range(3):
+        np.add(axis_coordinates(dims, c), nonlin.displacement[c], out=points[c])
     flat = points.reshape(3, -1)
     mapped = (matrix[:3, :3] @ flat).reshape(points.shape)
     mapped += matrix[:3, 3].reshape(3, 1, 1, 1)
-    mapped -= ident
+    for c in range(3):
+        mapped[c] -= axis_coordinates(dims, c)
     return DeformationField(mapped)
 
 
@@ -286,8 +290,10 @@ def jacobian_determinant(field: DeformationField) -> Volume:
     dims = field.dims
     if any(d < 3 for d in dims):
         raise ValueError(f"jacobian needs dims >= 3 per axis, got {dims}")
-    phi = _identity_grid(dims) + field.displacement
-    g = [[np.gradient(phi[i], axis=j, edge_order=1) for j in range(3)] for i in range(3)]
+    g = [
+        np.gradient(axis_coordinates(dims, i) + field.displacement[i], edge_order=1)
+        for i in range(3)
+    ]
     det = (
         g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
         - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])

@@ -39,9 +39,6 @@ class GmmParams:
     means: dict[int, float]
     stds: dict[int, float]
 
-    def labels(self) -> list[int]:
-        return sorted(self.means)
-
 
 @dataclass(frozen=True)
 class BiasParams:

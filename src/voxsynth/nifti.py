@@ -48,7 +48,6 @@ _CODE_FOR_DTYPE = {
     np.dtype(np.float32): 16,
 }
 _DTYPE_FOR_CODE = {code: dt for dt, code in _CODE_FOR_DTYPE.items()}
-_BITPIX = {2: 8, 4: 16, 8: 32, 16: 32}
 
 
 def _quaternion_affine(b: float, c: float, d: float, offsets, pixdim, qfac: float) -> np.ndarray:
@@ -201,7 +200,7 @@ def write_nifti(v: Volume, path, datatype=None, quantize: bool = False) -> None:
     struct.pack_into("<i", header, 0, HEADER_SIZE)
     struct.pack_into("<8h", header, 40, 3, v.dims[0], v.dims[1], v.dims[2], 1, 1, 1, 1)
     struct.pack_into("<h", header, 70, code)
-    struct.pack_into("<h", header, 72, _BITPIX[code])
+    struct.pack_into("<h", header, 72, dt.itemsize * 8)
     struct.pack_into("<8f", header, 76, 1.0, v.spacing[0], v.spacing[1], v.spacing[2], 0, 0, 0, 0)
     struct.pack_into("<f", header, 108, float(VOX_OFFSET))
     struct.pack_into("<2f", header, 112, 0.0, 0.0)  # no scaling: round trips bit-exactly

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .volume import Volume, resample_axis
+from .volume import Volume, resample_axis, resampled_size
 
 __all__ = [
     "ResolutionParams",
@@ -137,7 +137,7 @@ def simulate_lr(image: Volume, params: ResolutionParams, isotropic: bool = False
     data = np.asarray(out.data, dtype=np.float64)
     for axis in axes:
         n_native = image.dims[axis]
-        n_low = max(1, int(np.floor(n_native * params.hr_spacing / params.slice_spacing + 0.5)))
+        n_low = resampled_size(n_native, params.hr_spacing, params.slice_spacing)
         data = resample_axis(data, axis, n_low, params.slice_spacing, params.hr_spacing)
         data = resample_axis(data, axis, n_native, params.hr_spacing, params.slice_spacing)
     return image.with_data(data)

@@ -10,8 +10,11 @@ sit at voxel centres, the centre of the field of view is fixed under any
 change of grid, and lookups outside the grid clamp to the nearest edge voxel.
 This module is the only one that knows how a voxel is looked up: linear
 resampling along an axis (:func:`resample_axis`), round-half-up nearest
-indices (:func:`nearest_indices`) and label lookup tables (:func:`relabel`)
-live here, and the other modules call them.
+indices (:func:`nearest_indices`), label lookup tables (:func:`relabel`) and
+the rounded size of a resampled axis (:func:`resampled_size`) live here, and
+the other modules call them. Voxel coordinates come from
+:func:`axis_coordinates`, one broadcastable axis at a time; no module keeps a
+dense coordinate grid.
 """
 
 from __future__ import annotations
@@ -211,11 +214,10 @@ def resize_trilinear(data: np.ndarray, target_dims) -> np.ndarray:
     return out
 
 
-def _output_dims(dims, spacing, target_spacing) -> tuple[int, int, int]:
-    out = []
-    for n, s, t in zip(dims, spacing, target_spacing):
-        out.append(max(1, int(np.floor(n * s / t + 0.5))))
-    return tuple(out)
+def resampled_size(n: int, s: float, t: float) -> int:
+    """Voxel count, at least 1, of an axis of `n` voxels `s` mm apart once
+    resampled to `t` mm: ``n * s / t`` rounded half up."""
+    return max(1, int(np.floor(n * s / t + 0.5)))
 
 
 def _resampled_affine(affine: np.ndarray, positions, steps) -> np.ndarray:
@@ -247,7 +249,7 @@ def resample(v: Volume, target_spacing, mode: str = "trilinear") -> Volume:
     if target_spacing == v.spacing:
         return v.with_data(v.data.copy())
 
-    dims_out = _output_dims(v.dims, v.spacing, target_spacing)
+    dims_out = tuple(map(resampled_size, v.dims, v.spacing, target_spacing))
     positions = [
         axis_positions(dims_out[a], target_spacing[a], v.dims[a], v.spacing[a])
         for a in range(3)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ class TestSelfCompose:
         assert np.array_equal(out, expected)
         assert out.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("dims", [(7, 5, 9), (1, 6, 4), (6, 1, 4), (5, 4, 1)])
+    @pytest.mark.parametrize("dims", [(7, 5, 9), (1, 6, 4), (6, 1, 4), (5, 4, 1), (2, 3, _BLOCK + 7)])
     def test_non_cubic_and_singleton_axes(self, rng, dims):
         self.assert_same_bits(rng.standard_normal((3,) + dims) * 2.0)
 
@@ -361,3 +362,20 @@ class TestJacobian:
             vel = upsample_svf(svf, (64, 64, 64))
             det = jacobian_determinant(integrate_svf(vel))
             assert det.data[1:-1, 1:-1, 1:-1].min() > 0.0
+
+
+def test_no_memory_is_held_beyond_the_results(rng):
+    dims = (20, 16, 24)  # used by no other test, so nothing of it is cached yet
+    vel = smooth_velocity(dims, rng, magnitude=3.0)
+    _, matrix = sample_affine(GeneratorConfig(), rng, dims)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        field = integrate_svf(vel)
+        composed = compose_transforms(matrix, field)
+        det = jacobian_determinant(composed)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    results = field.displacement.nbytes + composed.displacement.nbytes + det.data.nbytes
+    assert held - results < vel.nbytes / 4
