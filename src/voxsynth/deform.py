@@ -290,10 +290,7 @@ def jacobian_determinant(field: DeformationField) -> Volume:
     dims = field.dims
     if any(d < 3 for d in dims):
         raise ValueError(f"jacobian needs dims >= 3 per axis, got {dims}")
-    g = [
-        np.gradient(axis_coordinates(dims, i) + field.displacement[i], edge_order=1)
-        for i in range(3)
-    ]
+    g = [np.gradient(axis_coordinates(dims, i) + field.displacement[i], edge_order=1) for i in range(3)]
     det = (
         g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
         - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])

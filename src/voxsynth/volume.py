@@ -11,10 +11,9 @@ change of grid, and lookups outside the grid clamp to the nearest edge voxel.
 This module is the only one that knows how a voxel is looked up: linear
 resampling along an axis (:func:`resample_axis`), round-half-up nearest
 indices (:func:`nearest_indices`), label lookup tables (:func:`relabel`) and
-the rounded size of a resampled axis (:func:`resampled_size`) live here, and
-the other modules call them. Voxel coordinates come from
-:func:`axis_coordinates`, one broadcastable axis at a time; no module keeps a
-dense coordinate grid.
+the size of a resampled axis (:func:`resampled_size`) live here, and the
+other modules call them. Voxel coordinates come from :func:`axis_coordinates`
+one axis at a time; no module keeps a dense coordinate grid.
 """
 
 from __future__ import annotations
