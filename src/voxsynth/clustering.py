@@ -55,9 +55,13 @@ class Gmm1D:
         return np.argmax(self.log_responsibilities(x), axis=0)
 
 
-def _log_likelihood(log_resp: np.ndarray) -> float:
+def _e_step(log_resp: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood of the samples, the unnormalised responsibilities
+    exp(log_resp - peak) and their column sums, from one pass of exp."""
     peak = log_resp.max(axis=0)
-    return float(np.sum(peak + np.log(np.exp(log_resp - peak).sum(axis=0))))
+    resp = np.exp(log_resp - peak)
+    total = resp.sum(axis=0)
+    return float(np.sum(peak + np.log(total))), resp, total
 
 
 def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D:
@@ -83,7 +87,7 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
         means = np.full(k, float(x[0]))
         stds = np.full(k, floor)
         gmm = Gmm1D(weights, means, stds, (0.0,))
-        return Gmm1D(weights, means, stds, (_log_likelihood(gmm.log_responsibilities(x)),))
+        return Gmm1D(weights, means, stds, (_e_step(gmm.log_responsibilities(x))[0],))
 
     # means at evenly spaced quantiles; stds and weights from the partition of
     # samples by nearest initial mean, so separated modes stay separated
@@ -102,14 +106,12 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
     trace: list[float] = []
     for _ in range(max_iters):
         gmm = Gmm1D(weights, means, stds, (0.0,))
-        log_resp = gmm.log_responsibilities(x)
-        trace.append(_log_likelihood(log_resp))
+        log_likelihood, resp, total = _e_step(gmm.log_responsibilities(x))
+        trace.append(log_likelihood)
         if len(trace) > 1 and trace[-1] - trace[-2] < tol:
             break
 
-        peak = log_resp.max(axis=0)
-        resp = np.exp(log_resp - peak)
-        resp /= resp.sum(axis=0)
+        resp /= total
 
         counts = resp.sum(axis=1)
         new_means = means.copy()
@@ -127,7 +129,7 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
     else:
         # iteration budget exhausted after an update: record its likelihood
         gmm = Gmm1D(weights, means, stds, (0.0,))
-        trace.append(_log_likelihood(gmm.log_responsibilities(x)))
+        trace.append(_e_step(gmm.log_responsibilities(x))[0])
 
     return Gmm1D(weights, means, stds, tuple(trace))
 

@@ -184,6 +184,9 @@ def largest_cc(labels: Volume, label: int) -> Volume:
     mask = labels.data == label
     if not mask.any():
         return labels.with_data(labels.data.copy())
+    # a C-order crop keeps the voxels' raster order, so the tie rule holds
+    box = _bbox_slices(mask, margin=0)
+    mask = mask[box]
     components, count = ndimage.label(mask, structure=_STRUCT6)
     if count <= 1:
         return labels.with_data(labels.data.copy())
@@ -198,7 +201,7 @@ def largest_cc(labels: Volume, label: int) -> Volume:
         first_index = {c: np.argmax(flat == c) for c in candidates}
         winner = min(candidates, key=lambda c: first_index[c])
     out = labels.data.copy()
-    out[mask & (components != winner)] = 0
+    out[box][mask & (components != winner)] = 0
     return labels.with_data(out)
 
 
@@ -315,20 +318,38 @@ class MetricsReport:
 
 def evaluate_volumes(pred: Volume, gt: Volume, schema: LabelSchema) -> MetricsReport:
     """Hard Dice, SD95, and volumes for every label the schema marks as
-    evaluated. SD95 is left undefined when a structure is missing."""
+    evaluated. SD95 is left undefined when a structure is missing.
+
+    Each label is scored on the bounding box of its two masks plus one voxel,
+    clamped at the volume faces, so the cost follows the structure's size,
+    not the volume's. Every number equals the whole-volume one. The box holds
+    both masks, so the overlap and the voxel counts are the same. It also
+    holds every 6-neighbour of a mask voxel that the volume holds, so the
+    erosion finds the same surface voxels (a box that reaches a face keeps
+    that face as the border). Each distance transform then sees the same
+    surface voxels and measures the same nearest distances.
+    """
     if pred.dims != gt.dims:
         raise ValueError(f"geometry mismatch: {pred.dims} vs {gt.dims}")
     report = MetricsReport()
     voxel = gt.voxel_volume
     for label in sorted(schema.evaluated_labels):
-        dice = hard_dice(pred, gt, label)
+        name = schema.names.get(label, "")
+        either = (pred.data == label) | (gt.data == label)
+        if not either.any():
+            report.add(label, name, 1.0, None, 0.0, 0.0)
+            continue
+        box = _bbox_slices(either)
+        pred_box = pred.with_data(pred.data[box])
+        gt_box = gt.with_data(gt.data[box])
+        dice = hard_dice(pred_box, gt_box, label)
         try:
-            distance = sd95(pred, gt, label, spacing=gt.spacing)
+            distance = sd95(pred_box, gt_box, label, spacing=gt.spacing)
         except MissingStructureError:
             distance = None
-        vol_pred = float((pred.data == label).sum()) * voxel
-        vol_gt = float((gt.data == label).sum()) * voxel
-        report.add(label, schema.names.get(label, ""), dice, distance, vol_pred, vol_gt)
+        vol_pred = float((pred_box.data == label).sum()) * voxel
+        vol_gt = float((gt_box.data == label).sum()) * voxel
+        report.add(label, name, dice, distance, vol_pred, vol_gt)
     return report
 
 

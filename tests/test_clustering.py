@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxsynth.clustering import apply_parent_mapping, em_fit_1d, subdivide_labels
+from voxsynth.clustering import _e_step, apply_parent_mapping, em_fit_1d, subdivide_labels
 
 from conftest import make_image, make_labels
 
@@ -35,6 +35,14 @@ class TestEmFit:
             gmm = em_fit_1d(x, k=3)
             trace = np.array(gmm.log_likelihoods)
             assert np.all(np.diff(trace) >= -1e-9)
+
+    def test_trace_ends_at_the_returned_fit(self, rng):
+        x = np.concatenate([rng.normal(0, 1, 400), rng.normal(6, 2, 600)])
+        converged = em_fit_1d(x, k=2)
+        exhausted = em_fit_1d(x, k=3, max_iters=3)
+        assert len(converged.log_likelihoods) < 200 and len(exhausted.log_likelihoods) == 4
+        for gmm in (converged, exhausted):
+            assert gmm.log_likelihoods[-1] == _e_step(gmm.log_responsibilities(x))[0]
 
     def test_weights_sum_to_one(self, rng):
         gmm = em_fit_1d(rng.uniform(0, 1, 200), k=4)

@@ -1,8 +1,10 @@
+import hashlib
 from collections import deque
 
 import numpy as np
 import pytest
 
+from voxsynth.clustering import subdivide_labels
 from voxsynth.metrics import (
     MissingStructureError,
     ProbMap,
@@ -16,6 +18,9 @@ from voxsynth.metrics import (
     soft_dice_loss,
     soft_volume,
 )
+from voxsynth.phantom import demo_phantom
+from voxsynth.schema import LabelEntry, LabelSchema, load_schema
+from voxsynth.target import build_target
 
 from conftest import make_image, make_labels
 
@@ -269,9 +274,11 @@ class TestLargestCc:
         data = np.zeros((7, 3, 3), dtype=np.int32)
         data[0:2, 0, 0] = 1  # 2 voxels, contains linear index 0... actually (0,0,0)
         data[4:6, 2, 2] = 1  # 2 voxels, later in raster order
-        out = largest_cc(make_labels(data), 1)
-        assert out.data[0, 0, 0] == 1 and out.data[1, 0, 0] == 1
-        assert out.data[4, 2, 2] == 0 and out.data[5, 2, 2] == 0
+        # padded, the label's bounding box no longer starts at the origin
+        for p in (0, 2):
+            out = largest_cc(make_labels(np.pad(data, p)), 1)
+            assert out.data[p, p, p] == 1 and out.data[1 + p, p, p] == 1
+            assert out.data[4 + p, 2 + p, 2 + p] == 0 and out.data[5 + p, 2 + p, 2 + p] == 0
 
     def test_matches_bfs_component_oracle(self, rng):
         data = (rng.uniform(size=(9, 9, 9)) < 0.35).astype(np.int32)
@@ -402,6 +409,51 @@ class TestReportAndPostprocess:
         assert text.splitlines()[0] == "label,name,dice,sd95_mm,volume_pred_mm3,volume_gt_mm3"
         assert text.splitlines()[-1].startswith("mean,")
 
+    def test_evaluate_crop_matches_whole_volume_metrics(self, rng):
+        # label 1 reaches every face, 2 is a blob that faces may cut, 3 is
+        # only predicted and 4 is in neither volume
+        schema = LabelSchema(
+            [LabelEntry(0, "background", "background", 0, None, True, False, False)]
+            + [LabelEntry(v, f"tissue {v}", "brain", v, None, True, True, False) for v in (1, 2, 3, 4)]
+        )
+        dims, spacing = (13, 10, 15), (0.7, 1.3, 2.1)
+        grid = np.indices(dims)
+        for _ in range(10):
+            gt = np.zeros(dims, dtype=np.int32)
+            for label in (1, 2):
+                centre = rng.uniform(-1.0, np.array(dims) + 1.0)[:, None, None, None]
+                radii = rng.uniform(1.5, 6.0, 3)[:, None, None, None]
+                gt[(((grid - centre) / radii) ** 2).sum(axis=0) <= 1.0] = label
+            for axis in range(3):
+                for face in (0, -1):
+                    index = [slice(2, 5)] * 3
+                    index[axis] = face
+                    gt[tuple(index)] = 1
+            pred = np.roll(gt, rng.integers(-1, 2, 3), axis=(0, 1, 2))
+            pred[rng.uniform(size=dims) < 0.05] = 0
+            corner = rng.integers(0, np.array(dims) - 2)
+            pred[tuple(slice(c, c + 2) for c in corner)] = 3
+            assert not (gt == 3).any() and not ((gt == 4) | (pred == 4)).any()
+            vp, vg = make_labels(pred, spacing=spacing), make_labels(gt, spacing=spacing)
+            voxel = vg.voxel_volume
+            expected = []
+            for label in (1, 2, 3, 4):
+                try:
+                    distance = sd95(vp, vg, label, spacing=spacing)
+                except MissingStructureError:
+                    distance = None
+                expected.append(
+                    {
+                        "label": label,
+                        "name": f"tissue {label}",
+                        "dice": hard_dice(vp, vg, label),
+                        "sd95_mm": distance,
+                        "volume_pred_mm3": float((pred == label).sum()) * voxel,
+                        "volume_gt_mm3": float((gt == label).sum()) * voxel,
+                    }
+                )
+            assert evaluate_volumes(vp, vg, schema).rows == expected
+
     def test_postprocess_keeps_largest_and_fills(self, tiny_schema):
         data = np.zeros((9, 9, 9), dtype=np.int32)
         data[1:6, 1:6, 1:6] = 1
@@ -410,3 +462,36 @@ class TestReportAndPostprocess:
         out = postprocess_labels(make_labels(data), tiny_schema)
         assert out.data[7, 7, 7] == 0
         assert out.data[3, 3, 3] == 1
+
+    # SHA-256 over the evaluate_volumes rows (repr), the postprocess_labels
+    # output and the subdivide_labels output plus its mapping on a fixed
+    # 48^3 case; recorded before evaluate_volumes and largest_cc worked on
+    # bounding boxes and before em_fit_1d shared its E-step exponentials
+    GOLDEN_TOOLS = "9e008f93c184c6d6397b3346779fb2188f63f94178b095b7c2700b7375b1f1f0"
+
+    def test_golden_tools_outputs_unchanged(self):
+        schema = load_schema("brain")
+        phantom = demo_phantom(48)
+        spacing = (1.0, 1.25, 2.0)
+        # rolled so structures wrap across all six faces
+        gt_data = np.roll(build_target(phantom, schema).data, (20, 22, 18), axis=(0, 1, 2))
+        gt = make_labels(gt_data, spacing=spacing)
+        pred_data = np.roll(gt_data, (1, -1), axis=(1, 2))
+        pred_data[19:22, 21:23, 17:19] = 17  # an island in the background
+        centre = np.argwhere(pred_data == 53).mean(axis=0).round().astype(int)
+        pred_data[tuple(centre)] = 0  # a hole in a hippocampus
+        pred = make_labels(pred_data, spacing=spacing)
+        draw = np.random.default_rng(11)
+        means = draw.uniform(10.0, 240.0, size=int(phantom.data.max()) + 1)
+        image = make_image(means[phantom.data] + draw.normal(0.0, 5.0, phantom.dims))
+
+        digest = hashlib.sha256()
+        digest.update(repr(evaluate_volumes(pred, gt, schema).rows).encode())
+        clean = postprocess_labels(pred, schema).data
+        sub, mapping = subdivide_labels(image, phantom, rng=np.random.default_rng(3))
+        for data in (clean, sub.data):
+            digest.update(str(data.dtype).encode())
+            digest.update(str(data.shape).encode())
+            digest.update(np.ascontiguousarray(data).tobytes())
+        digest.update(repr(sorted(mapping.items())).encode())
+        assert digest.hexdigest() == self.GOLDEN_TOOLS
