@@ -16,6 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+# called through their modules, so that wrappers installed on the module
+# attributes (perfbench's tracer) see the CLI's calls too
+from . import clustering, config, metrics, nifti, phantom, pipeline, schema
+
 logger = logging.getLogger("voxsynth")
 
 CONFIG_ENV_VAR = "VOXSYNTH_CONFIG"
@@ -35,25 +39,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> tuple[_Parser, dict[str, list[str]]]:
+def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="voxsynth", description=__doc__)
     parser.add_argument("--quiet", action="store_true", help="only warnings and errors")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    options: dict[str, list[str]] = {}
 
-    def command(name, help_text):
+    def command(name, help_text, run):
         p = sub.add_parser(name, help=help_text)
-        options[name] = ["--help"]
-        original = p.add_argument
-
-        def tracked(*args, **kwargs):
-            options[name].extend(a for a in args if a.startswith("--"))
-            return original(*args, **kwargs)
-
-        p.add_argument = tracked
+        p.set_defaults(run=run)
         return p
 
-    p = command("generate", "generate synthetic (image, target) pairs from label maps")
+    p = command("generate", "generate synthetic (image, target) pairs from label maps", _cmd_generate)
     p.add_argument("--config", help="generator config file (default: env or built-in priors)")
     p.add_argument("--maps", required=True, help="directory of .nii/.nii.gz label maps, or 'demo'")
     p.add_argument("--count", type=int, required=True, help="number of samples")
@@ -62,24 +58,24 @@ def _build_parser() -> tuple[_Parser, dict[str, list[str]]]:
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                    help="parallel workers (default: available cores)")
 
-    p = command("preprocess", "resample a scan to the native grid and rescale to [0, 1]")
+    p = command("preprocess", "resample a scan to the native grid and rescale to [0, 1]", _cmd_preprocess)
     p.add_argument("--in", dest="input", required=True, help="input scan")
     p.add_argument("--out", required=True, help="output scan")
     p.add_argument("--resolution", type=float, help="target isotropic spacing in mm")
     p.add_argument("--config", help="generator config file")
 
-    p = command("postprocess", "keep largest components and fill holes in a segmentation")
+    p = command("postprocess", "keep largest components and fill holes in a segmentation", _cmd_postprocess)
     p.add_argument("--in", dest="input", required=True, help="input segmentation")
     p.add_argument("--schema", default="brain", help="label schema CSV or 'brain'")
     p.add_argument("--out", required=True, help="output segmentation")
 
-    p = command("evaluate", "score a segmentation against a reference")
+    p = command("evaluate", "score a segmentation against a reference", _cmd_evaluate)
     p.add_argument("--pred", required=True, help="predicted segmentation")
     p.add_argument("--gt", required=True, help="reference segmentation")
     p.add_argument("--schema", default="brain", help="label schema CSV or 'brain'")
     p.add_argument("--out", required=True, help="output metrics table (CSV)")
 
-    p = command("enhance-labels", "subdivide labels into intensity clusters")
+    p = command("enhance-labels", "subdivide labels into intensity clusters", _cmd_enhance_labels)
     p.add_argument("--image", required=True, help="intensity image")
     p.add_argument("--labels", required=True, help="label map aligned with the image")
     p.add_argument("--out", required=True, help="output subdivided label map")
@@ -88,38 +84,33 @@ def _build_parser() -> tuple[_Parser, dict[str, list[str]]]:
     p.add_argument("--bg-classes", type=int, help="background clusters (default: random 3..10)")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = command("phantom", "write the bundled demo label map")
+    p = command("phantom", "write the bundled demo label map", _cmd_phantom)
     p.add_argument("--out", required=True, help="output path (.nii or .nii.gz)")
     p.add_argument("--size", type=int, default=64, help="cubic size in voxels")
 
-    return parser, options
+    return parser, sub.choices
 
 
 def _load_cfg(path_arg):
-    from .config import GeneratorConfig, load_config
-
     path = path_arg or os.environ.get(CONFIG_ENV_VAR)
     if path:
-        return load_config(path)
-    cfg = GeneratorConfig()
+        return config.load_config(path)
+    cfg = config.GeneratorConfig()
     logger.info("resolved config: %s", cfg.as_dict())
     return cfg
 
 
 def _cmd_generate(args) -> int:
-    from .phantom import demo_phantom
-    from .pipeline import generate_batch, load_maps_dir
-
     cfg = _load_cfg(args.config)
     if args.seed is not None:
         cfg = cfg.with_overrides(seed=args.seed)
     if args.maps == "demo":
-        maps, map_ids = [demo_phantom()], ["demo-phantom"]
+        maps, map_ids = [phantom.demo_phantom()], ["demo-phantom"]
     else:
-        maps, map_ids = load_maps_dir(args.maps)
+        maps, map_ids = pipeline.load_maps_dir(args.maps)
     logger.info("generating %d samples from %d maps into %s", args.count, len(maps), args.out)
-    result = generate_batch(
-        maps, cfg, args.count, args.out, workers=max(1, args.workers), map_ids=map_ids
+    result = pipeline.generate_batch(
+        maps, cfg, args.count, args.out, workers=args.workers, map_ids=map_ids
     )
     logger.info(
         "batch done: %d written, %d skipped, %d failed",
@@ -131,41 +122,28 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    from .nifti import read_nifti, write_nifti
-    from .pipeline import preprocess_for_inference
-
     cfg = _load_cfg(args.config)
     if args.resolution is not None:
         cfg = cfg.with_overrides(hr_spacing=args.resolution)
-    scan = read_nifti(args.input)
-    out = preprocess_for_inference(scan, cfg)
-    write_nifti(out.astype(np.float32), args.out, datatype=np.float32)
+    scan = nifti.read_nifti(args.input)
+    nifti.write_nifti(pipeline.preprocess_for_inference(scan, cfg), args.out)
     logger.info("preprocessed %s -> %s at %.3g mm", args.input, args.out, cfg.hr_spacing)
     return EXIT_OK
 
 
 def _cmd_postprocess(args) -> int:
-    from .metrics import postprocess_labels
-    from .nifti import read_nifti, write_nifti
-    from .schema import load_schema
-
-    schema = load_schema(args.schema)
-    seg = read_nifti(args.input)
-    out = postprocess_labels(seg, schema)
-    write_nifti(out, args.out)
+    label_schema = schema.load_schema(args.schema)
+    seg = nifti.read_nifti(args.input)
+    nifti.write_nifti(metrics.postprocess_labels(seg, label_schema), args.out)
     logger.info("postprocessed %s -> %s", args.input, args.out)
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
-    from .metrics import evaluate_volumes
-    from .nifti import read_nifti
-    from .schema import load_schema
-
-    schema = load_schema(args.schema)
-    pred = read_nifti(args.pred)
-    gt = read_nifti(args.gt)
-    report = evaluate_volumes(pred, gt, schema)
+    label_schema = schema.load_schema(args.schema)
+    pred = nifti.read_nifti(args.pred)
+    gt = nifti.read_nifti(args.gt)
+    report = metrics.evaluate_volumes(pred, gt, label_schema)
     report.save(args.out)
     logger.info(
         "evaluated %d labels: mean dice %s, mean sd95 %s mm -> %s",
@@ -178,19 +156,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_enhance_labels(args) -> int:
-    from .clustering import subdivide_labels
-    from .nifti import read_nifti, write_nifti
-
-    image = read_nifti(args.image)
-    if image.is_labels:
-        image = image.astype(np.float64)
-    labels = read_nifti(args.labels)
+    image = nifti.read_nifti(args.image)
+    labels = nifti.read_nifti(args.labels)
     rng = np.random.default_rng(args.seed)
-    bg_range = (args.bg_classes, args.bg_classes) if args.bg_classes else (3, 10)
-    sub, mapping = subdivide_labels(
+    bg_range = (args.bg_classes, args.bg_classes) if args.bg_classes is not None else (3, 10)
+    sub, mapping = clustering.subdivide_labels(
         image, labels, fg_k=args.fg_classes, bg_k_range=bg_range, rng=rng
     )
-    write_nifti(sub.astype(np.int32), args.out)
+    nifti.write_nifti(sub, args.out)
     lines = ["sub_label,parent_label"]
     lines += [f"{s},{p}" for s, p in sorted(mapping.items())]
     Path(args.mapping).write_text("\n".join(lines) + "\n")
@@ -199,30 +172,26 @@ def _cmd_enhance_labels(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
-    from .nifti import write_nifti
-    from .phantom import demo_phantom
-
-    write_nifti(demo_phantom(args.size), args.out)
+    nifti.write_nifti(phantom.demo_phantom(args.size), args.out)
     logger.info("wrote demo phantom (%d^3) to %s", args.size, args.out)
     return EXIT_OK
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "preprocess": _cmd_preprocess,
-    "postprocess": _cmd_postprocess,
-    "evaluate": _cmd_evaluate,
-    "enhance-labels": _cmd_enhance_labels,
-    "phantom": _cmd_phantom,
-}
+def _unknown_flag_error(argv, commands) -> str | None:
+    """Usage message with the closest valid flag when an unknown one is passed.
 
-
-def _unknown_flag_error(argv, options) -> str | None:
-    """Usage message with the closest valid flag when an unknown one is passed."""
-    command = next((a for a in argv if a in options), None)
+    Checked before parsing, because argparse reports a missing required flag
+    ahead of a misspelt one.
+    """
+    command = next((a for a in argv if a in commands), None)
     if command is None:
         return None
-    valid = options[command]
+    valid = [
+        flag
+        for action in commands[command]._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    ]
     for token in argv[argv.index(command) + 1 :]:
         if token.startswith("--") and token.split("=", 1)[0] not in valid:
             flag = token.split("=", 1)[0]
@@ -235,8 +204,8 @@ def _unknown_flag_error(argv, options) -> str | None:
 
 
 def dispatch(argv) -> int:
-    parser, options = _build_parser()
-    unknown = _unknown_flag_error(argv, options)
+    parser, commands = _build_parser()
+    unknown = _unknown_flag_error(argv, commands)
     if unknown:
         print(unknown, file=sys.stderr)
         return EXIT_USAGE
@@ -248,20 +217,16 @@ def dispatch(argv) -> int:
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
 
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(asctime)s %(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig only acts on a process's first call; the level is set on every one
+    logging.basicConfig(format="%(asctime)s %(levelname)s %(name)s: %(message)s")
+    logger.setLevel(logging.WARNING if args.quiet else logging.INFO)
     logging.captureWarnings(True)
 
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        return args.run(args)
     except Exception as exc:
         logger.error("fatal: %s", exc)
         return EXIT_FATAL

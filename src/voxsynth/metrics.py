@@ -271,16 +271,8 @@ class MetricsReport:
     COLUMNS = ("label", "name", "dice", "sd95_mm", "volume_pred_mm3", "volume_gt_mm3")
 
     def add(self, label, name, dice, sd95_mm, volume_pred_mm3, volume_gt_mm3):
-        self.rows.append(
-            {
-                "label": label,
-                "name": name,
-                "dice": dice,
-                "sd95_mm": sd95_mm,
-                "volume_pred_mm3": volume_pred_mm3,
-                "volume_gt_mm3": volume_gt_mm3,
-            }
-        )
+        values = (label, name, dice, sd95_mm, volume_pred_mm3, volume_gt_mm3)
+        self.rows.append(dict(zip(self.COLUMNS, values)))
 
     def mean(self, key: str):
         values = [r[key] for r in self.rows if r[key] is not None]
@@ -297,18 +289,7 @@ class MetricsReport:
         lines = [",".join(self.COLUMNS)]
         for row in self.rows:
             lines.append(",".join(fmt(row[c]) for c in self.COLUMNS))
-        lines.append(
-            ",".join(
-                [
-                    "mean",
-                    "",
-                    fmt(self.mean("dice")),
-                    fmt(self.mean("sd95_mm")),
-                    fmt(self.mean("volume_pred_mm3")),
-                    fmt(self.mean("volume_gt_mm3")),
-                ]
-            )
-        )
+        lines.append(",".join(["mean", ""] + [fmt(self.mean(c)) for c in self.COLUMNS[2:]]))
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:

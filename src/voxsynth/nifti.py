@@ -3,7 +3,10 @@
 Implements the 348-byte binary header plus raw voxel payload, optionally
 inside a gzip container (detected by magic bytes on read, by a ``.gz`` suffix
 on write). Only 3D volumes and the four datatypes used by this package are
-supported: uint8, int16, int32, float32.
+supported: uint8, int16, int32, float32. Unless told otherwise, the writer
+picks a file's datatype from the data: float32 for intensities, and for labels
+their own dtype when it is one of the four, otherwise int32 after a range
+check, so callers pass volumes as they are.
 
 Gzip output is deflated at level 6 with a strategy chosen by the payload
 kind: run-length matching (``Z_RLE``) for float payloads, whose noisy
@@ -162,38 +165,31 @@ def _resolve_datatype(v: Volume, datatype) -> np.dtype:
     return np.dtype(np.int32)
 
 
-def write_nifti(v: Volume, path, datatype=None, quantize: bool = False) -> None:
+def write_nifti(v: Volume, path, datatype=None) -> None:
     """Write a volume as single-file NIfTI-1, gzipped when `path` ends in .gz.
 
-    The requested datatype must represent the data exactly: integer data maps
-    to integer datatypes (range-checked), float data to float32. Writing float
-    data into an integer datatype rounds and clips, and is refused unless
-    `quantize` is set. No intensity scaling is written, so a read of the file
-    reproduces the stored array bit-exactly.
+    Without `datatype` the on-disk dtype follows the data: float32 for an
+    intensity image; for labels their own dtype when NIfTI-1 has it, otherwise
+    int32. Labels need an integer datatype that holds their range, and float
+    data is written as float32 only. No intensity scaling is written, so a
+    read of the file reproduces the stored array bit-exactly.
     """
     path = Path(path)
     dt = _resolve_datatype(v, datatype)
-    data = v.data
 
     if v.is_labels and not np.issubdtype(dt, np.integer):
         raise ValueError("label volumes must be written with an integer datatype")
     if np.issubdtype(dt, np.integer):
         if not v.is_labels:
-            if not quantize:
-                raise ValueError(
-                    f"writing float data as {dt} requires quantize=True (rounds and clips)"
-                )
-            info = np.iinfo(dt)
-            data = np.clip(np.rint(data), info.min, info.max)
-        else:
-            info = np.iinfo(dt)
-            lo, hi = int(data.min()), int(data.max())
-            if lo < info.min or hi > info.max:
-                raise ValueError(
-                    f"label range [{lo}, {hi}] does not fit datatype {dt} "
-                    f"([{info.min}, {info.max}])"
-                )
-    out = np.asarray(data).astype(dt.newbyteorder("<"), order="F", copy=False)
+            raise ValueError(f"float data cannot be written as {dt}; write it as float32")
+        info = np.iinfo(dt)
+        lo, hi = int(v.data.min()), int(v.data.max())
+        if lo < info.min or hi > info.max:
+            raise ValueError(
+                f"label range [{lo}, {hi}] does not fit datatype {dt} "
+                f"([{info.min}, {info.max}])"
+            )
+    out = v.data.astype(dt.newbyteorder("<"), order="F", copy=False)
 
     code = _CODE_FOR_DTYPE[np.dtype(dt)]
     header = bytearray(HEADER_SIZE)

@@ -223,7 +223,7 @@ def _write_pair(pair: SamplePair, out_dir: Path, index: int) -> tuple[str, str, 
     image_path = out_dir / image_name
     target_path = out_dir / target_name
     manifest_path = out_dir / manifest_name
-    write_nifti(pair.image.astype(np.float32), image_path, datatype=np.float32)
+    write_nifti(pair.image, image_path)
     write_nifti(pair.target, target_path)
     pair.manifest.save(manifest_path)
     return (str(image_path), str(target_path), str(manifest_path))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -179,3 +184,47 @@ def test_config_env_var_used(tmp_path, monkeypatch, rng):
     out = tmp_path / "p.nii.gz"
     assert dispatch(["--quiet", "preprocess", "--in", str(tmp_path / "s.nii.gz"), "--out", str(out)]) == 0
     assert read_nifti(out).spacing == (2.0, 2.0, 2.0)
+
+
+def test_quiet_is_applied_on_every_dispatch(tmp_path, caplog):
+    out = str(tmp_path / "phantom.nii")
+
+    def phantom_logged(*flags):
+        caplog.clear()
+        assert dispatch([*flags, "phantom", "--out", out, "--size", "16"]) == 0
+        return any("wrote demo phantom" in r.getMessage() for r in caplog.records)
+
+    assert not phantom_logged("--quiet")
+    assert phantom_logged()
+    assert not phantom_logged("--quiet")
+
+
+def test_enhance_labels_rejects_zero_bg_classes(tmp_path, caplog, rng):
+    labels = demo_phantom(16)
+    write_nifti(make_image(rng.uniform(0, 1, labels.dims)), tmp_path / "img.nii")
+    write_nifti(labels, tmp_path / "seg.nii")
+    code = dispatch(
+        ["--quiet", "enhance-labels", "--image", str(tmp_path / "img.nii"),
+         "--labels", str(tmp_path / "seg.nii"), "--out", str(tmp_path / "sub.nii"),
+         "--map", str(tmp_path / "map.csv"), "--bg-classes", "0"]
+    )
+    assert code != 0
+    assert "(0, 0)" in caplog.text
+    assert not (tmp_path / "sub.nii").exists()
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "voxsynth.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    shown = run("--help")
+    assert shown.returncode == 0 and "generate" in shown.stdout
+    refused = run("generate", "--mapz", "demo", "--count", "1", "--out", str(tmp_path / "out"))
+    assert refused.returncode == 1
+    assert "unrecognized argument: --mapz (did you mean --maps?)" in refused.stderr

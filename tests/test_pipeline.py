@@ -288,37 +288,46 @@ class TestGenerateBatch:
             for name, blob in originals.items():
                 assert (out / name).read_bytes() == blob
 
-    # SHA-256 over samples 0-7 of the decoded image and target arrays (dtype,
-    # shape, bytes) and the manifest text; recorded before the blocked
-    # squaring kernel replaced map_coordinates, and unchanged by it
+    # Two SHA-256 digests per case over samples 0-7: one over the decoded image
+    # and target arrays (dtype, shape, bytes), one over the manifest text, so a
+    # change to either is told apart. Both were recorded on the source just
+    # before the digest was split; the combined digest they replace was
+    # recorded before the blocked squaring kernel replaced map_coordinates.
     GOLDEN = {
-        "default": ({}, "444e166356efe46d3cecd1e0ed2e7640d78669bd93a69f6cfe2054976d004c54"),
+        "default": (
+            {},
+            "d341b926d56d8f56980b0ab33f489ac013ca1ce57961df315af3cf6427dc13aa",
+            "3cebd70925d0dc71830accdc1ed10566193fe500f42623407ac3790b9e0f5099",
+        ),
         "crop_after_warp": (
             {"crop_first": False},
-            "43f56b81d85b1248b829445c561b6422c92f3e3c3e1f1c3e80e62c87c5a22d1a",
+            "2af138a8ec5ff9e56cdda3ad1d88363c8a9220a532f3439d46cce33a9b86df9e",
+            "3e2a8fbf046ea7d5aa0e5ebf1ea5eb2f06ef29eacea373d4c67f6396849912f0",
         ),
         "isotropic_lr": (
             {"isotropic_lr": True},
-            "4125449feb1c63ea16ea3b660c3c9804c7d86406f441e07c208782e65c1dd82d",
+            "27cf19b422d19b277b2d3e9a054374c6ffa1b7fac953b74481e8432e6e3a3f46",
+            "12799d2684285d843395b6839d43288e3b36612506de055951d41683520686d7",
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_golden_samples_unchanged(self, tmp_path, case):
-        overrides, expected = self.GOLDEN[case]
+        overrides, expected_arrays, expected_manifests = self.GOLDEN[case]
         cfg = GeneratorConfig(crop_size=40, seed=3, **overrides)
         result = generate_batch([demo_phantom(48)], cfg, 8, tmp_path, map_ids=["demo"])
         assert result.ok
-        digest = hashlib.sha256()
+        arrays, manifests = hashlib.sha256(), hashlib.sha256()
         for i in range(8):
             image_name, target_name, manifest_name = sample_file_names(i)
             for name in (image_name, target_name):
                 data = read_nifti(tmp_path / name).data
-                digest.update(str(data.dtype).encode())
-                digest.update(str(data.shape).encode())
-                digest.update(np.ascontiguousarray(data).tobytes())
-            digest.update((tmp_path / manifest_name).read_bytes())
-        assert digest.hexdigest() == expected
+                arrays.update(str(data.dtype).encode())
+                arrays.update(str(data.shape).encode())
+                arrays.update(np.ascontiguousarray(data).tobytes())
+            manifests.update((tmp_path / manifest_name).read_bytes())
+        assert arrays.hexdigest() == expected_arrays
+        assert manifests.hexdigest() == expected_manifests
 
 
 class TestReplay:
