@@ -56,6 +56,6 @@ from .pipeline import (
 from .resolution import ResolutionParams, blur_axis, sample_resolution, simulate_lr, thickness_sigma
 from .schema import LabelSchema, SchemaError, load_schema
 from .target import build_target
-from .volume import LabelPairTable, Volume, flip_lr, resample
+from .volume import Volume, flip_lr, resample
 
 __version__ = "0.1.0"

@@ -44,15 +44,19 @@ class Gmm1D:
 
     def log_responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Unnormalised per-component log posteriors, shape (k, len(x))."""
-        x = np.asarray(x, dtype=np.float64)[None, :]
-        mu = self.means[:, None]
-        sigma = self.stds[:, None]
-        log_pdf = -0.5 * ((x - mu) / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(2 * np.pi)
-        return log_pdf + np.log(self.weights[:, None])
+        return _log_resp(x, self.weights, self.means, self.stds)
 
     def assign(self, x: np.ndarray) -> np.ndarray:
         """Hard assignment of each sample to its most responsible component."""
         return np.argmax(self.log_responsibilities(x), axis=0)
+
+
+def _log_resp(x, weights: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    mu = means[:, None]
+    sigma = stds[:, None]
+    log_pdf = -0.5 * ((x - mu) / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(2 * np.pi)
+    return log_pdf + np.log(weights[:, None])
 
 
 def _e_step(log_resp: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -86,8 +90,7 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
         weights = np.full(k, 1.0 / k)
         means = np.full(k, float(x[0]))
         stds = np.full(k, floor)
-        gmm = Gmm1D(weights, means, stds, (0.0,))
-        return Gmm1D(weights, means, stds, (_e_step(gmm.log_responsibilities(x))[0],))
+        return Gmm1D(weights, means, stds, (_e_step(_log_resp(x, weights, means, stds))[0],))
 
     # means at evenly spaced quantiles; stds and weights from the partition of
     # samples by nearest initial mean, so separated modes stay separated
@@ -105,8 +108,7 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
 
     trace: list[float] = []
     for _ in range(max_iters):
-        gmm = Gmm1D(weights, means, stds, (0.0,))
-        log_likelihood, resp, total = _e_step(gmm.log_responsibilities(x))
+        log_likelihood, resp, total = _e_step(_log_resp(x, weights, means, stds))
         trace.append(log_likelihood)
         if len(trace) > 1 and trace[-1] - trace[-2] < tol:
             break
@@ -128,8 +130,7 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
         weights = weights / weights.sum()
     else:
         # iteration budget exhausted after an update: record its likelihood
-        gmm = Gmm1D(weights, means, stds, (0.0,))
-        trace.append(_e_step(gmm.log_responsibilities(x))[0])
+        trace.append(_e_step(_log_resp(x, weights, means, stds))[0])
 
     return Gmm1D(weights, means, stds, tuple(trace))
 

@@ -2,13 +2,14 @@
 
 The config file format is plain ``key = value`` lines; ``#`` starts a comment
 and blank lines are ignored. Every key is optional, so an empty file yields
-the default priors below. Unknown keys and inverted bound pairs are rejected
-with the offending key named.
+the default priors below. Unknown keys, non-finite numbers and inverted bound
+pairs are rejected with the offending key named.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -61,6 +62,10 @@ class GeneratorConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}={value} must be finite")
         for lo_key, hi_key in (
             ("rot_min", "rot_max"),
             ("scale_min", "scale_max"),

@@ -183,13 +183,13 @@ def largest_cc(labels: Volume, label: int) -> Volume:
     """
     mask = labels.data == label
     if not mask.any():
-        return labels.with_data(labels.data.copy())
+        return labels
     # a C-order crop keeps the voxels' raster order, so the tie rule holds
     box = _bbox_slices(mask, margin=0)
     mask = mask[box]
     components, count = ndimage.label(mask, structure=_STRUCT6)
     if count <= 1:
-        return labels.with_data(labels.data.copy())
+        return labels
     flat = components.ravel()
     sizes = np.bincount(flat)
     sizes[0] = 0

@@ -26,6 +26,7 @@ pixdim-diagonal precedence.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 import zlib
@@ -75,8 +76,10 @@ def read_nifti(path) -> Volume:
     """Load a ``.nii`` or ``.nii.gz`` file as a :class:`Volume`.
 
     Voxel values are rescaled by ``scl_slope``/``scl_inter`` when the header
-    declares a non-trivial scaling (slope not in {0, 1} or nonzero intercept),
-    in which case the result is a float image.
+    declares a non-trivial scaling (a finite slope not in {0, 1} or a nonzero
+    intercept), in which case the result is a float image. A zero or
+    non-finite slope means no scaling; a non-finite intercept next to a
+    finite, nonzero slope raises ``ValueError``.
     """
     with open(path, "rb") as f:
         gzipped = f.read(2) == b"\x1f\x8b"
@@ -146,8 +149,11 @@ def read_nifti(path) -> Volume:
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=start).reshape(dims, order="F")
     data = np.array(data, dtype=dtype.newbyteorder("="), order="C")
 
-    if scl_slope != 0.0 and (scl_slope != 1.0 or scl_inter != 0.0):
-        data = data.astype(np.float64) * scl_slope + scl_inter
+    if scl_slope != 0.0 and math.isfinite(scl_slope):
+        if not math.isfinite(scl_inter):
+            raise ValueError(f"scl_slope {scl_slope} with non-finite scl_inter {scl_inter}")
+        if scl_slope != 1.0 or scl_inter != 0.0:
+            data = data.astype(np.float64) * scl_slope + scl_inter
 
     return Volume(data, spacing, affine)
 

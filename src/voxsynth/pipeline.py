@@ -133,7 +133,7 @@ def generate_sample(
         flip_applied = bool(rng.random() < FLIP_PROBABILITY)
         manifest.flip_applied = flip_applied
         if flip_applied:
-            labels = flip_lr(labels, schema.flip_table)
+            labels = flip_lr(labels, schema.flips)
 
     def crop_stage():
         nonlocal labels

@@ -105,7 +105,7 @@ def blur_axis(image: Volume, sigma: float, axis: int) -> Volume:
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
     if sigma == 0.0:
-        return image.with_data(image.data.copy())
+        return image
     data = np.asarray(image.data, dtype=np.float64)
     out = correlate1d(data, gaussian_taps(sigma), axis=axis, mode="nearest")
     return image.with_data(out)

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .volume import LabelPairTable
-
 __all__ = ["LabelEntry", "LabelSchema", "SchemaError", "load_schema", "BACKGROUND"]
 
 BACKGROUND = 0
@@ -46,16 +44,21 @@ class LabelEntry:
 
 
 class LabelSchema:
-    """Validated label table with the derived lookup sets used by the pipeline."""
+    """Validated label table with the derived lookup sets used by the pipeline.
+
+    It also holds the label-to-label maps the pipeline relabels through:
+    :attr:`flips` (each label to its contralateral partner) and
+    :attr:`lesion_hosts` (each lesion label to the label that absorbs it).
+    """
 
     def __init__(self, entries, source: str = "<memory>"):
         self.entries: tuple[LabelEntry, ...] = tuple(entries)
         self.source = source
-        self._validate()
+        csf = [e.label for e in self.entries if e.category == "csf"]
+        self._validate(csf)
 
-        by_label = {e.label: e for e in self.entries}
         self.names = {e.label: e.name for e in self.entries}
-        self.generation_labels = frozenset(by_label)
+        self.generation_labels = frozenset(self.names)
         self.target_labels = frozenset(
             e.label for e in self.entries if e.predict and e.label != BACKGROUND
         )
@@ -64,29 +67,17 @@ class LabelSchema:
         self.extracerebral_labels = frozenset(
             e.label for e in self.entries if e.category == "extracerebral"
         )
-        self.lesion_labels = frozenset(e.label for e in self.entries if e.category == "lesion")
         self.lesion_hosts = {
             e.label: e.lesion_host for e in self.entries if e.category == "lesion"
         }
-        csf = [e.label for e in self.entries if e.category == "csf"]
         self.csf_label: int | None = csf[0] if csf else None
+        self.flips = {e.label: e.flip for e in self.entries}
 
-        pairs = []
-        neutral = set()
-        for e in self.entries:
-            if e.flip == e.label:
-                neutral.add(e.label)
-            elif e.label < e.flip:
-                pairs.append((e.flip, e.label))  # (right, left): lower id is left here
-        self.flip_table = LabelPairTable(pairs=tuple(pairs), neutral=frozenset(neutral))
-
-    def _validate(self) -> None:
-        seen: set[int] = set()
+    def _validate(self, csf: list[int]) -> None:
         by_label: dict[int, LabelEntry] = {}
         for e in self.entries:
-            if e.label in seen:
+            if e.label in by_label:
                 raise SchemaError(f"label {e.label} declared twice in {self.source}")
-            seen.add(e.label)
             by_label[e.label] = e
             if e.category not in _CATEGORIES:
                 raise SchemaError(
@@ -110,7 +101,6 @@ class LabelSchema:
                     )
             elif e.lesion_host is not None:
                 raise SchemaError(f"non-lesion label {e.label} must not declare a host")
-        csf = [e.label for e in self.entries if e.category == "csf"]
         if len(csf) > 1:
             raise SchemaError(f"multiple csf labels declared: {csf}")
         background = [e for e in self.entries if e.label == BACKGROUND]

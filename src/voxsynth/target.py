@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schema import BACKGROUND, LabelSchema, SchemaError
+from .schema import BACKGROUND, LabelSchema
 from .volume import Volume, relabel
 
 __all__ = [
@@ -36,7 +36,7 @@ def draw_strip_branch(rng) -> str:
 
 def apply_skullstrip(labels: Volume, schema: LabelSchema, branch: str) -> Volume:
     if branch == STRIP_NONE:
-        return labels.with_data(labels.data.copy())
+        return labels
     stripped = set(schema.extracerebral_labels)
     if branch == STRIP_FULL and schema.csf_label is not None:
         stripped.add(schema.csf_label)
@@ -52,16 +52,8 @@ def draw_lesion_keep(rng) -> bool:
 
 def apply_lesion_dropout(labels: Volume, schema: LabelSchema, keep: bool) -> Volume:
     if keep:
-        return labels.with_data(labels.data.copy())
-    present = set(labels.labels_present())
-    mapping = {}
-    for lesion in sorted(schema.lesion_labels):
-        host = schema.lesion_hosts.get(lesion)
-        if host is None:
-            raise SchemaError(f"lesion label {lesion} has no host mapping")
-        if lesion in present:
-            mapping[lesion] = host
-    return labels.with_data(relabel(labels.data, mapping))
+        return labels
+    return labels.with_data(relabel(labels.data, schema.lesion_hosts))
 
 
 def build_target(deformed_labels: Volume, schema: LabelSchema) -> Volume:

@@ -18,13 +18,10 @@ one axis at a time; no module keeps a dense coordinate grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "Volume",
-    "LabelPairTable",
     "resample",
     "crop_at",
     "draw_crop_offset",
@@ -119,37 +116,6 @@ class Volume:
     def __repr__(self) -> str:
         kind = "labels" if self.is_labels else "image"
         return f"Volume({kind}, dims={self.dims}, spacing={self._spacing})"
-
-
-@dataclass(frozen=True)
-class LabelPairTable:
-    """Right/left label pairings plus the midline labels left untouched by a flip."""
-
-    pairs: tuple[tuple[int, int], ...]
-    neutral: frozenset[int]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for right, left in self.pairs:
-            for v in (right, left):
-                if v in seen:
-                    raise ValueError(f"label {v} appears twice in the pair table")
-                seen.add(v)
-        overlap = seen & set(self.neutral)
-        if overlap:
-            raise ValueError(f"labels {sorted(overlap)} are both paired and neutral")
-
-    def known_labels(self) -> frozenset[int]:
-        flat = {v for pair in self.pairs for v in pair}
-        return frozenset(flat | set(self.neutral))
-
-    def swaps(self) -> dict[int, int]:
-        """Each paired label mapped to its partner."""
-        swaps = {}
-        for right, left in self.pairs:
-            swaps[right] = left
-            swaps[left] = right
-        return swaps
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +261,28 @@ def lr_axis(affine: np.ndarray) -> int:
     return int(np.argmax(np.abs(affine[0, :3])))
 
 
-def flip_lr(labels: Volume, table: LabelPairTable) -> Volume:
-    """Mirror a label volume along the world left-right axis, exchanging
-    paired label values so anatomy stays on the correct side.
+def flip_lr(labels: Volume, flips: dict[int, int]) -> Volume:
+    """Mirror a label volume along the world left-right axis, replacing each
+    label by its partner in `flips` so anatomy stays on the correct side
+    (a midline label is its own partner).
 
-    Flipping is an involution: applying it twice restores the input.
+    Partners must be mutual, so flipping is an involution: applying it twice
+    restores the input.
     """
     if not labels.is_labels:
         raise ValueError("flip_lr operates on label volumes")
-    present = np.unique(labels.data)
-    known = table.known_labels()
-    for value in present:
-        if int(value) not in known:
+    for value, partner in flips.items():
+        if flips.get(partner) != value:
+            raise ValueError(
+                f"flip partners are not mutual: {value} -> {partner} -> {flips.get(partner)}"
+            )
+    for value in np.unique(labels.data):
+        if int(value) not in flips:
             raise ValueError(
                 f"label {int(value)} is in the volume but not in the flip table"
             )
     mirrored = np.flip(labels.data, axis=lr_axis(labels.affine))
-    return labels.with_data(relabel(mirrored, table.swaps()))
+    return labels.with_data(relabel(mirrored, flips))
 
 
 def relabel(data: np.ndarray, mapping: dict[int, int]) -> np.ndarray:

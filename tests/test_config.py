@@ -103,3 +103,10 @@ def test_resolved_config_is_echoed(tmp_path, caplog):
 def test_validation_on_direct_construction():
     with pytest.raises(ConfigError):
         GeneratorConfig(alpha_min=2.0, alpha_max=1.0)
+
+
+def test_non_finite_values_rejected_with_key():
+    with pytest.raises(ConfigError, match="rot_max"):
+        parse_config_text("rot_max = nan\n")
+    with pytest.raises(ConfigError, match="spacing_max"):
+        GeneratorConfig(spacing_max=float("inf"))

@@ -1,7 +1,34 @@
+import ast
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import voxsynth
 from conftest import make_image
+
+_MODULES = sorted(m.name for m in pkgutil.iter_modules(voxsynth.__path__) if not m.ispkg)
+# (module, name) of every `from .module import name` in the package's __init__
+_PACKAGE_IMPORTS = [
+    (node.module, alias.name)
+    for node in ast.parse(inspect.getsource(voxsynth)).body
+    if isinstance(node, ast.ImportFrom)
+    for alias in node.names
+]
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_public_names_resolve(module):
+    """Each name in a module's `__all__` exists, so `import *` works, and each
+    name the package imports from it is public there and bound on the package."""
+    mod = importlib.import_module(f"voxsynth.{module}")
+    public = getattr(mod, "__all__", [])
+    assert [name for name in public if not hasattr(mod, name)] == []
+    for source, name in _PACKAGE_IMPORTS:
+        if source == module:
+            assert name in public and getattr(voxsynth, name) is getattr(mod, name)
 
 
 def test_cli_reports_partial_batch_failure(tmp_path, monkeypatch):

@@ -90,6 +90,28 @@ def test_unit_slope_zero_inter_keeps_integer_dtype(tmp_path):
     assert back.is_labels and np.all(back.data == 3)
 
 
+def test_nan_slope_means_no_scaling(tmp_path):
+    data = np.arange(8, dtype=np.int32).reshape(2, 2, 2)
+    path = tmp_path / "nan_slope.nii"
+    write_nifti(make_labels(data), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<2f", raw, 112, float("nan"), 0.0)
+    path.write_bytes(bytes(raw))
+    back = read_nifti(path)
+    assert back.dtype == np.int32
+    assert np.array_equal(back.data, data)
+
+
+def test_nan_intercept_with_scaling_slope_rejected(tmp_path):
+    path = tmp_path / "nan_inter.nii"
+    write_nifti(make_labels(np.full((2, 2, 2), 3, dtype=np.int16)), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<2f", raw, 112, 2.0, float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="scl_inter"):
+        read_nifti(path)
+
+
 def test_unsupported_datatype_rejected(tmp_path):
     v = make_image(np.zeros((2, 2, 2)))
     path = tmp_path / "f64.nii"

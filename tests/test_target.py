@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxsynth.schema import LabelEntry, LabelSchema, SchemaError, load_schema, parse_schema_csv
+from voxsynth.schema import SchemaError, load_schema, parse_schema_csv
 from voxsynth.target import (
     STRIP_FULL,
     STRIP_KEEP_CSF,
@@ -94,18 +94,6 @@ class TestLesionDropout:
         sigma = np.sqrt(n * 0.25)
         assert abs(kept - n / 2) < 3 * sigma
 
-    def test_missing_host_is_configuration_error(self):
-        entries = [
-            LabelEntry(0, "background", "background", 0, None, True, False, False),
-            LabelEntry(1, "tissue", "brain", 1, None, True, True, False),
-            LabelEntry(6, "spot", "lesion", 6, 1, False, False, False),
-        ]
-        schema = LabelSchema(entries, source="test")
-        schema.lesion_hosts = {6: None}
-        v = make_labels(np.full((2, 2, 2), 6))
-        with pytest.raises(SchemaError, match="host"):
-            apply_lesion_dropout(v, schema, keep=False)
-
 
 class TestBuildTarget:
     def test_only_target_labels_survive(self, tiny_schema):
@@ -144,8 +132,8 @@ class TestSchema:
         assert schema.csf_label == 24
         assert schema.lesion_hosts[78] == 2 and schema.lesion_hosts[79] == 41
         assert 509 in schema.extracerebral_labels
-        assert (41, 2) in schema.flip_table.pairs or (2, 41) in schema.flip_table.pairs
-        assert 16 in schema.flip_table.neutral
+        assert schema.flips[2] == 41 and schema.flips[41] == 2
+        assert schema.flips[16] == 16
         assert schema.evaluated_labels <= schema.target_labels
 
     def test_csv_round_trip_of_custom_schema(self, tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from voxsynth.volume import (
-    LabelPairTable,
     Volume,
     axis_positions,
     crop_at,
@@ -199,7 +198,7 @@ class TestCrop:
 
 
 class TestFlip:
-    table = LabelPairTable(pairs=((2, 1),), neutral=frozenset({0, 3}))
+    table = {0: 0, 1: 2, 2: 1, 3: 3}
 
     def test_neutral_labels_only_mirror(self):
         data = np.zeros((4, 3, 3), dtype=np.int32)
@@ -249,21 +248,22 @@ class TestFlip:
         out = flip_lr(make_labels(data, affine=affine), self.table)
         assert out.data[1, 3, 1] == 3
 
-    def test_pair_table_validation(self):
-        with pytest.raises(ValueError):
-            LabelPairTable(pairs=((1, 2), (2, 3)), neutral=frozenset())
-        with pytest.raises(ValueError):
-            LabelPairTable(pairs=((1, 2),), neutral=frozenset({2}))
+    def test_non_mutual_partners_rejected(self):
+        v = make_labels(np.zeros((2, 2, 2), dtype=np.int32))
+        with pytest.raises(ValueError, match="3 -> 2 -> 1"):
+            flip_lr(v, {0: 0, 1: 2, 2: 1, 3: 2})
+        with pytest.raises(ValueError, match="1 -> 2 -> 2"):
+            flip_lr(v, {0: 0, 1: 2, 2: 2})
 
     def test_negative_label_in_the_volume_rejected(self):
-        table = LabelPairTable(pairs=((5, -1),), neutral=frozenset({0}))
+        table = {5: -1, -1: 5, 0: 0}
         data = np.array([-1, 0, 0, 0]).reshape(4, 1, 1)
         # a swap table indexed by -1 turned the whole line into 5
         with pytest.raises(ValueError, match="negative label -1"):
             flip_lr(make_labels(data), table)
 
     def test_negative_label_in_the_table_rejected(self):
-        table = LabelPairTable(pairs=((5, -1),), neutral=frozenset({0}))
+        table = {5: -1, -1: 5, 0: 0}
         data = np.array([5, 0, 0, 0]).reshape(4, 1, 1)
         with pytest.raises(ValueError, match="negative label -1"):
             flip_lr(make_labels(data), table)
