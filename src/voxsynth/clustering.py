@@ -203,9 +203,7 @@ def subdivide_labels(
 def apply_parent_mapping(sub_labels: Volume, mapping: dict[int, int]) -> Volume:
     """Collapse sub-labels back to their parents (reset to the initial
     labels), keeping the dtype of `sub_labels`."""
-    data = sub_labels.data
-    present = np.unique(data)
-    missing = [int(v) for v in present if int(v) not in mapping and int(v) != 0]
+    missing = [v for v in sub_labels.labels_present() if v not in mapping and v != 0]
     if missing:
         raise ValueError(f"sub-labels {missing} have no parent mapping")
-    return sub_labels.with_data(relabel(data, mapping))
+    return sub_labels.with_data(relabel(sub_labels.data, mapping))

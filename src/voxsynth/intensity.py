@@ -68,11 +68,14 @@ def sample_gmm_params(cfg, labels_present, rng) -> GmmParams:
 def synth_gmm_image(labels: Volume, params: GmmParams, rng) -> Volume:
     """Draw each voxel from the Gaussian of its label, i.i.d. across voxels.
 
-    Negative draws are kept; the later rescale absorbs them.
+    Negative draws are kept; the later rescale absorbs them. Labels index a
+    lookup table, so a negative label raises ``ValueError``.
     """
     if not labels.is_labels:
         raise ValueError("synth_gmm_image needs a label volume")
     present = labels.labels_present()
+    if present[0] < 0:
+        raise ValueError(f"negative label {present[0]} cannot index a lookup table")
     missing = [v for v in present if v not in params.means]
     if missing:
         raise ValueError(f"no intensity parameters for labels {missing}")

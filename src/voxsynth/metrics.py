@@ -254,8 +254,7 @@ def fill_holes(labels: Volume, fillable) -> Volume:
             )
             comp = components[inner] == comp_id
             neighbours = ndimage.binary_dilation(comp, structure=_STRUCT6) & ~comp
-            touched = np.unique(sub[inner][neighbours])
-            if touched.size == 1 and int(touched[0]) == label:
+            if np.all(sub[inner][neighbours] == label):
                 sub[inner][comp] = label
         out[box] = sub
     return labels.with_data(out)

@@ -3,10 +3,11 @@
 Implements the 348-byte binary header plus raw voxel payload, optionally
 inside a gzip container (detected by magic bytes on read, by a ``.gz`` suffix
 on write). Only 3D volumes and the four datatypes used by this package are
-supported: uint8, int16, int32, float32. Unless told otherwise, the writer
-picks a file's datatype from the data: float32 for intensities, and for labels
-their own dtype when it is one of the four, otherwise int32 after a range
-check, so callers pass volumes as they are.
+supported: uint8, int16, int32, float32; a header whose axes beyond the third
+all have size 1, such as a singleton time axis, reads as its 3D volume.
+Unless told otherwise, the writer picks a file's datatype from the data:
+float32 for intensities, and for labels their own dtype when it is one of the
+four, otherwise int32 after a range check, so callers pass volumes as they are.
 
 Gzip output is deflated at level 6 with a strategy chosen by the payload
 kind: run-length matching (``Z_RLE``) for float payloads, whose noisy
@@ -103,7 +104,8 @@ def read_nifti(path) -> Volume:
         raise ValueError(f"not a single-file NIfTI-1 (magic {magic!r})")
 
     dim = struct.unpack_from(order + "8h", raw, 40)
-    if dim[0] != 3:
+    # SPM, FSL and FreeSurfer write 3D volumes with a singleton time axis
+    if not 3 <= dim[0] <= 7 or any(d != 1 for d in dim[4 : dim[0] + 1]):
         raise ValueError(f"expected a 3D volume, header declares {dim[0]} dimensions")
     dims = (int(dim[1]), int(dim[2]), int(dim[3]))
     if min(dims) < 1:

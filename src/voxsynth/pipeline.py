@@ -25,7 +25,7 @@ from .config import GeneratorConfig
 from .deform import compose_transforms, integrate_svf, sample_affine, sample_svf, upsample_svf, warp_labels
 from .manifest import SampleManifest
 from .nifti import read_nifti, write_nifti
-from .schema import LabelSchema, load_schema
+from .schema import LabelSchema, SchemaError, load_schema
 from .volume import Volume, crop_at, draw_crop_offset, flip_lr, resample
 
 logger = logging.getLogger(__name__)
@@ -87,6 +87,20 @@ def _stage(name: str, stages: list[str]):
         raise PipelineError(f"stage '{name}' failed: {exc}") from exc
 
 
+def _map_id(map_ids, index: int) -> str:
+    return map_ids[index] if map_ids is not None else f"map-{index:03d}"
+
+
+def _check_map(labels, map_id: str, schema: LabelSchema) -> None:
+    """Refuse a map that is not a label volume or holds an undeclared label."""
+    if not isinstance(labels, Volume) or not labels.is_labels:
+        raise ValueError(f"map {map_id!r} is not a label volume")
+    try:
+        schema.check_labels_known(labels.labels_present())
+    except SchemaError as exc:
+        raise SchemaError(f"map {map_id!r}: {exc}") from None
+
+
 def generate_sample(
     maps,
     cfg: GeneratorConfig,
@@ -121,13 +135,9 @@ def generate_sample(
     with _stage("select", stages):
         map_index = int(rng.integers(0, len(maps)))
         labels = maps[map_index]
-        if not isinstance(labels, Volume) or not labels.is_labels:
-            raise ValueError(f"map {map_index} is not a label volume")
-        schema.check_labels_known(labels.labels_present())
         manifest.map_index = map_index
-        manifest.map_id = (
-            map_ids[map_index] if map_ids is not None else f"map-{map_index:03d}"
-        )
+        manifest.map_id = _map_id(map_ids, map_index)
+        _check_map(labels, manifest.map_id, schema)
 
     with _stage("flip", stages):
         flip_applied = bool(rng.random() < FLIP_PROBABILITY)
@@ -352,12 +362,19 @@ def generate_batch(
     Samples already written by this run are skipped, so an interrupted batch
     resumes where it stopped and a deleted sample is regenerated
     bit-identically; a directory holding another run's samples is refused
-    before anything is generated. With ``workers <= 1`` the samples run in
-    the calling process, otherwise in a pool of that many forked workers.
+    before anything is generated. Each map is checked against the schema
+    once, before anything is written: one that is not a label volume raises
+    ``ValueError``, one with an undeclared label ``SchemaError``, naming the
+    map's id. The check caches each map's label census, which the samples
+    reuse. With ``workers <= 1`` the samples run in the calling process,
+    otherwise in a pool of that many forked workers, which inherit it.
     Failures are collected per sample instead of aborting; the samples of a
     pool whose worker died are retried, first in a fresh pool of `workers`,
     then one at a time.
     """
+    schema = load_schema(cfg.schema)
+    for index, labels in enumerate(maps):
+        _check_map(labels, _map_id(map_ids, index), schema)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = BatchResult()
@@ -370,7 +387,7 @@ def generate_batch(
         else:
             pending.append(index)
 
-    initargs = (maps, cfg, load_schema(cfg.schema), out_dir, map_ids)
+    initargs = (maps, cfg, schema, out_dir, map_ids)
     if workers <= 1:
         outcomes = _run_in_process(pending, initargs)
     else:

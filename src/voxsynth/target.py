@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .schema import BACKGROUND, LabelSchema
 from .volume import Volume, relabel
 
@@ -58,11 +56,9 @@ def apply_lesion_dropout(labels: Volume, schema: LabelSchema, keep: bool) -> Vol
 
 def build_target(deformed_labels: Volume, schema: LabelSchema) -> Volume:
     """Reset every label that is not to be predicted to background."""
-    data = deformed_labels.data
-    present = np.unique(data)
     mapping = {
-        int(v): BACKGROUND
-        for v in present
-        if int(v) != BACKGROUND and int(v) not in schema.target_labels
+        v: BACKGROUND
+        for v in deformed_labels.labels_present()
+        if v != BACKGROUND and v not in schema.target_labels
     }
-    return deformed_labels.with_data(relabel(data, mapping))
+    return deformed_labels.with_data(relabel(deformed_labels.data, mapping))

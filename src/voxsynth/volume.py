@@ -36,9 +36,13 @@ class Volume:
 
     Integer dtypes mark label volumes, float dtypes mark images; operations
     that only make sense for one kind check :attr:`is_labels`.
+
+    The label census of :meth:`labels_present` is cached on first use. That
+    relies on immutability: nothing may write the wrapped array afterwards,
+    which holds for every volume this package builds.
     """
 
-    __slots__ = ("_data", "_spacing", "_affine")
+    __slots__ = ("_data", "_spacing", "_affine", "_labels")
 
     def __init__(self, data, spacing=(1.0, 1.0, 1.0), affine=None):
         arr = np.asarray(data)
@@ -61,6 +65,7 @@ class Volume:
         aff = affine.copy()
         aff.setflags(write=False)
         self._affine = aff
+        self._labels = None
 
     @property
     def data(self) -> np.ndarray:
@@ -108,10 +113,12 @@ class Volume:
         return self.with_data(self._data.astype(dtype))
 
     def labels_present(self) -> list[int]:
-        """Sorted label values occurring in a label volume."""
+        """Sorted label values occurring in a label volume, as a new list."""
         if not self.is_labels:
             raise ValueError("labels_present requires an integer label volume")
-        return [int(v) for v in np.unique(self._data)]
+        if self._labels is None:
+            self._labels = tuple(int(v) for v in np.unique(self._data))
+        return list(self._labels)
 
     def __repr__(self) -> str:
         kind = "labels" if self.is_labels else "image"
@@ -276,11 +283,9 @@ def flip_lr(labels: Volume, flips: dict[int, int]) -> Volume:
             raise ValueError(
                 f"flip partners are not mutual: {value} -> {partner} -> {flips.get(partner)}"
             )
-    for value in np.unique(labels.data):
-        if int(value) not in flips:
-            raise ValueError(
-                f"label {int(value)} is in the volume but not in the flip table"
-            )
+    for value in labels.labels_present():
+        if value not in flips:
+            raise ValueError(f"label {value} is in the volume but not in the flip table")
     mirrored = np.flip(labels.data, axis=lr_axis(labels.affine))
     return labels.with_data(relabel(mirrored, flips))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import voxsynth
-from conftest import make_image
+from conftest import make_image, make_labels
 
 _MODULES = sorted(m.name for m in pkgutil.iter_modules(voxsynth.__path__) if not m.ispkg)
 # (module, name) of every `from .module import name` in the package's __init__
@@ -59,3 +59,8 @@ def test_volume_astype_and_helpers(rng):
     with pytest.raises(ValueError, match="label"):
         image.labels_present()
     assert image.voxel_volume == 1.0
+    labels = make_labels(np.array([3, 0, 3, 1, 0, 0, 1, 3]).reshape(2, 2, 2))
+    present = labels.labels_present()
+    present.append(7)
+    present[0] = 9
+    assert labels.labels_present() == [0, 1, 3]  # the cached census is not shared

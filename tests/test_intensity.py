@@ -83,6 +83,16 @@ class TestSynthImage:
         with pytest.raises(ValueError, match="9"):
             synth_gmm_image(labels, GmmParams(means={1: 0.0}, stds={1: 1.0}), rng)
 
+    def test_negative_label_rejected(self, rng):
+        # a negative label would index the lookup table from its end
+        data = np.full((2, 2, 2), 5)
+        data[0] = -1
+        from voxsynth.intensity import GmmParams
+
+        params = GmmParams(means={-1: 10.0, 5: 200.0}, stds={-1: 0.0, 5: 0.0})
+        with pytest.raises(ValueError, match="negative label -1"):
+            synth_gmm_image(make_labels(data), params, rng)
+
 
 class TestBiasField:
     def test_zero_bound_gives_unit_field(self, rng):

@@ -143,10 +143,22 @@ def test_wrong_dimension_count_rejected(tmp_path):
     path = tmp_path / "d4.nii"
     write_nifti(v, path, datatype=np.float32)
     raw = bytearray(path.read_bytes())
-    struct.pack_into("<h", raw, 40, 4)  # dim[0] = 4
+    struct.pack_into("<8h", raw, 40, 4, 2, 2, 2, 5, 1, 1, 1)  # a 4-D volume of 5 frames
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="3D"):
         read_nifti(path)
+
+
+@pytest.mark.parametrize("ndim", [4, 7])
+def test_trailing_singleton_axes_read_as_3d(tmp_path, rng, ndim):
+    # SPM, FSL and FreeSurfer write 3D volumes with a singleton time axis
+    v = make_labels(rng.integers(0, 9, (3, 4, 5)))
+    path = tmp_path / "t1.nii"
+    write_nifti(v, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<8h", raw, 40, ndim, 3, 4, 5, 1, 1, 1, 1)
+    path.write_bytes(bytes(raw))
+    assert volumes_equal(read_nifti(path), v)
 
 
 def test_qform_fallback_when_sform_absent(tmp_path):

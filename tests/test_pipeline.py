@@ -19,7 +19,7 @@ from voxsynth.pipeline import (
     sample_file_names,
     sample_rng,
 )
-from voxsynth.schema import load_schema
+from voxsynth.schema import SchemaError, load_schema
 
 from conftest import fail_writes, make_image, make_labels
 
@@ -254,6 +254,34 @@ class TestGenerateBatch:
         assert resumed.ok and resumed.skipped == [1]
         for name, blob in originals.items():
             assert (out / name).read_bytes() == blob, name
+
+    def test_bad_map_refused_before_any_sample(self, tmp_path, fast_cfg):
+        good = demo_phantom(24)
+        data = np.array(good.data)
+        data[0, 0, 0] = 999  # not declared in the brain schema
+        out = tmp_path / "out"
+        with pytest.raises(SchemaError, match=r"map 'bad': labels \[999\]"):
+            generate_batch([good, make_labels(data)], fast_cfg, 4, out, map_ids=["good", "bad"])
+        assert not out.exists()
+        with pytest.raises(ValueError, match="map 'float' is not a label volume"):
+            generate_batch(
+                [good, make_image(data)], fast_cfg, 4, out, workers=2, map_ids=["good", "float"]
+            )
+        assert not out.exists()
+
+    def test_one_census_per_map_and_per_sample(self, tmp_path, fast_cfg, monkeypatch):
+        shapes = []
+        unique = np.unique
+
+        def counted(values, *args, **kwargs):
+            shapes.append(np.shape(values))
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        result = generate_batch([demo_phantom(24), demo_phantom(20)], fast_cfg, 3, tmp_path / "out")
+        assert result.ok
+        # the batch checks each map once; each sample then counts its crop once
+        assert shapes == [(24, 24, 24), (20, 20, 20)] + [(16, 16, 16)] * 3
 
     def test_maps_dir_skips_hidden_files(self, tmp_path):
         write_nifti(slab_map(), tmp_path / "a.nii")

@@ -118,6 +118,14 @@ class TestBuildTarget:
         out = build_target(v, tiny_schema)
         assert np.all(out.data == 0)
 
+    def test_label_outside_schema_becomes_background(self, tiny_schema):
+        data = np.zeros((3, 3, 3), dtype=np.int32)
+        data[0] = 1
+        data[1] = 42
+        out = build_target(make_labels(data), tiny_schema)
+        assert np.array_equal(out.data, np.where(data == 42, 0, data))
+        assert out.dtype == np.int32
+
     def test_idempotent(self, tiny_schema):
         v = head_map()
         once = build_target(v, tiny_schema)
