@@ -2,9 +2,10 @@
 
 Implements the 348-byte binary header plus raw voxel payload, optionally
 inside a gzip container (detected by magic bytes on read, by a ``.gz`` suffix
-on write). Only 3D volumes and the four datatypes used by this package are
-supported: uint8, int16, int32, float32; a header whose axes beyond the third
-all have size 1, such as a singleton time axis, reads as its 3D volume.
+on write). Only 3D volumes are supported; a header whose axes beyond the third
+all have size 1, such as a singleton time axis, reads as its 3D volume. The
+writer uses four datatypes: uint8, int16, int32, float32; the reader also
+takes the uint16, int64 and float64 payloads that real scans come in.
 Unless told otherwise, the writer picks a file's datatype from the data:
 float32 for intensities, and for labels their own dtype when it is one of the
 four, otherwise int32 after a range check, so callers pass volumes as they are.
@@ -45,7 +46,8 @@ VOX_OFFSET = 352
 MAGIC_SINGLE = b"n+1\x00"
 MAGIC_PAIR = b"ni1\x00"
 
-# NIfTI-1 datatype codes for the supported dtypes.
+# NIfTI-1 datatype codes of the dtypes the writer uses; the reader also takes
+# three more that real scans come in
 _CODE_FOR_DTYPE = {
     np.dtype(np.uint8): 2,
     np.dtype(np.int16): 4,
@@ -53,6 +55,7 @@ _CODE_FOR_DTYPE = {
     np.dtype(np.float32): 16,
 }
 _DTYPE_FOR_CODE = {code: dt for dt, code in _CODE_FOR_DTYPE.items()}
+_DTYPE_FOR_CODE.update({64: np.dtype(np.float64), 512: np.dtype(np.uint16), 1024: np.dtype(np.int64)})
 
 
 def _quaternion_affine(b: float, c: float, d: float, offsets, pixdim, qfac: float) -> np.ndarray:
@@ -137,7 +140,8 @@ def read_nifti(path) -> Volume:
     if datatype not in _DTYPE_FOR_CODE:
         raise ValueError(
             f"unsupported NIfTI datatype code {datatype}; "
-            "supported: uint8 (2), int16 (4), int32 (8), float32 (16)"
+            "supported: uint8 (2), int16 (4), int32 (8), float32 (16), "
+            "float64 (64), uint16 (512), int64 (1024)"
         )
     dtype = _DTYPE_FOR_CODE[datatype].newbyteorder(order)
     count = int(np.prod(dims))

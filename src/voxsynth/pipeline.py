@@ -22,7 +22,10 @@ import numpy as np
 
 from . import intensity, resolution, target
 from .config import GeneratorConfig
-from .deform import compose_transforms, integrate_svf, sample_affine, sample_svf, upsample_svf, warp_labels
+from .deform import integrate_svf, sample_affine, sample_svf, upsample_svf, warp_labels
+# not called here; kept bound because perfbench's traced runs wrap each deform
+# step under the name `generate_sample` looks it up by
+from .deform import compose_transforms  # noqa: F401
 from .manifest import SampleManifest
 from .nifti import read_nifti, write_nifti
 from .schema import LabelSchema, SchemaError, load_schema
@@ -177,11 +180,9 @@ def generate_sample(
         }
         svf = sample_svf(cfg, rng)
         manifest.svf_std = svf.std
-        # nested so each dense (3, N, N, N) field is freed as soon as its
-        # consumer returns, instead of all of them staying alive for the warp
-        labels = warp_labels(
-            labels, compose_transforms(matrix, integrate_svf(upsample_svf(svf, labels.dims)))
-        )
+        # nested so the velocity is freed inside integrate_svf, once it is
+        # scaled into the squaring buffer; the pull builds no composed field
+        labels = warp_labels(labels, matrix, integrate_svf(upsample_svf(svf, labels.dims)))
 
     if not cfg.crop_first:
         crop_stage()

@@ -30,6 +30,8 @@ __all__ = [
     "axis_positions",
 ]
 
+_SLAB = 65536  # output voxels per slab of resample_axis; keeps its temporaries small
+
 
 class Volume:
     """A 3D scalar or integer-label grid with voxel spacing and world affine.
@@ -149,19 +151,32 @@ def axis_coordinates(dims, axis: int) -> np.ndarray:
 def resample_axis(data: np.ndarray, axis: int, n_dst: int, s_dst: float, s_src: float) -> np.ndarray:
     """Linear resampling of `data` along one axis onto `n_dst` voxels of
     `s_dst` spacing, the source voxels being `s_src` apart (the
-    :func:`axis_positions` grid), with edge clamping."""
+    :func:`axis_positions` grid), with edge clamping.
+
+    Each output voxel is ``(1.0 - f) * lo + f * hi`` in float64, whatever the
+    input dtype. The output is filled in slabs of about `_SLAB` voxels along
+    another axis, so the gathered ``lo``/``hi`` values and their products stay
+    small instead of costing three more whole-volume temporaries.
+    """
     n = data.shape[axis]
     p = np.clip(axis_positions(n_dst, s_dst, n, s_src), 0.0, n - 1.0)
     i0 = np.floor(p).astype(np.intp)
     if n > 1:
         np.minimum(i0, n - 2, out=i0)
-    f = p - i0
-    shape = [1] * data.ndim
+    i1 = np.minimum(i0 + 1, n - 1)
+    f = (p - i0).reshape([-1 if a == axis else 1 for a in range(data.ndim)])
+    shape = list(data.shape)
     shape[axis] = n_dst
-    f = f.reshape(shape)
-    lo = np.take(data, i0, axis=axis)
-    hi = np.take(data, np.minimum(i0 + 1, n - 1), axis=axis)
-    return (1.0 - f) * lo + f * hi
+    out = np.empty(shape)
+    slab_axis = 1 if axis == 0 else 0
+    step = max(1, _SLAB * out.shape[slab_axis] // out.size)
+    index = [slice(None)] * data.ndim
+    for s0 in range(0, out.shape[slab_axis], step):
+        index[slab_axis] = slice(s0, s0 + step)
+        slab, dst = data[tuple(index)], out[tuple(index)]
+        np.multiply(1.0 - f, np.take(slab, i0, axis=axis), out=dst)
+        dst += f * np.take(slab, i1, axis=axis)
+    return out
 
 
 def nearest_indices(pos: np.ndarray, n: int) -> np.ndarray:
@@ -295,14 +310,20 @@ def relabel(data: np.ndarray, mapping: dict[int, int]) -> np.ndarray:
     the mapping does not name are kept, and so is the dtype.
 
     Labels index a lookup table, so a negative label in the data or in the
-    mapping's keys raises ``ValueError``.
+    mapping's keys raises ``ValueError``; so does a value, for a key the data
+    can hold, that does not fit the data's dtype.
     """
     lowest = min([int(data.min()), *mapping])
     if lowest < 0:
         raise ValueError(f"negative label {lowest} cannot index a lookup table")
     if not mapping:
         return data.copy()
-    lut = np.arange(max(int(data.max()), max(mapping)) + 1, dtype=np.int64)
+    # only keys up to the data's largest label can be looked up
+    lut = np.arange(int(data.max()) + 1, dtype=data.dtype)
+    info = np.iinfo(data.dtype)
     for src, dst in mapping.items():
-        lut[src] = dst
-    return lut[data].astype(data.dtype)
+        if src < lut.size:
+            if not info.min <= dst <= info.max:
+                raise ValueError(f"label {dst} does not fit the data's dtype {data.dtype}")
+            lut[src] = dst
+    return lut[data]

@@ -21,7 +21,7 @@ from voxsynth.deform import (
     warp_labels,
     _self_compose,
 )
-from voxsynth.volume import axis_positions
+from voxsynth.volume import axis_coordinates, axis_positions, nearest_indices
 
 from conftest import make_labels
 
@@ -161,6 +161,21 @@ class TestIntegrateSvf:
         with pytest.raises(ValueError):
             integrate_svf(np.zeros((3, 4, 4, 4)), steps=0)
 
+    def test_nan_velocity_rejected(self):
+        # used to return a field with NaN voxels after a cast warning
+        vel = np.zeros((3, 6, 6, 6))
+        vel[1, 2, 3, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            integrate_svf(vel)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_velocity_rejected(self, value):
+        # used to loop about 1000 times and raise OverflowError from 2.0**1024
+        vel = np.zeros((3, 6, 6, 6))
+        vel[0, 0, 0, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            integrate_svf(vel)
+
     def test_matches_fine_euler_oracle(self, rng):
         vel = smooth_velocity((32, 32, 32), rng, magnitude=0.1)
         fast = integrate_svf(vel).displacement
@@ -189,7 +204,7 @@ class TestSelfCompose:
 
     def assert_same_bits(self, disp):
         out = np.empty_like(disp)
-        _self_compose(disp, out)
+        _self_compose(np.pad(disp, ((0, 0), (1, 1), (1, 1), (1, 1)), mode="edge"), out)
         expected = scipy_self_compose(disp)
         assert np.array_equal(out, expected)
         assert out.tobytes() == expected.tobytes()
@@ -237,9 +252,9 @@ class TestSelfCompose:
             assert integrate_svf(other).displacement.tobytes() == expected
 
     def test_rejects_non_contiguous_buffers(self):
-        disp = np.asfortranarray(np.zeros((3, 4, 5, 6)))
+        padded = np.asfortranarray(np.zeros((3, 6, 7, 8)))
         with pytest.raises(ValueError, match="C-contiguous"):
-            _self_compose(disp, np.empty_like(disp))
+            _self_compose(padded, np.empty((3, 4, 5, 6)))
 
 
 class TestCompose:
@@ -290,7 +305,7 @@ class TestCompose:
 class TestWarpLabels:
     def test_identity_is_bit_exact(self, rng):
         v = make_labels(rng.integers(0, 5, size=(6, 6, 6)))
-        out = warp_labels(v, DeformationField(np.zeros((3, 6, 6, 6))))
+        out = warp_labels(v, np.eye(4), DeformationField(np.zeros((3, 6, 6, 6))))
         assert np.array_equal(out.data, v.data)
 
     def test_integer_translation_shifts_with_edge_clamp(self, rng):
@@ -298,7 +313,7 @@ class TestWarpLabels:
         v = make_labels(data)
         disp = np.zeros((3, 5, 4, 4))
         disp[0] = 1.0
-        out = warp_labels(v, DeformationField(disp))
+        out = warp_labels(v, np.eye(4), DeformationField(disp))
         expected = data[np.minimum(np.arange(5) + 1, 4), :, :]
         assert np.array_equal(out.data, expected)
 
@@ -306,7 +321,7 @@ class TestWarpLabels:
         data = rng.integers(0, 2, size=(8, 8, 8))
         v = make_labels(data)
         disp = rng.uniform(-2.5, 2.5, size=(3, 8, 8, 8))
-        out = warp_labels(v, DeformationField(disp))
+        out = warp_labels(v, np.eye(4), DeformationField(disp))
         for i in range(8):
             for j in range(8):
                 for k in range(8):
@@ -323,23 +338,50 @@ class TestWarpLabels:
         n = data.shape[axis]
         disp = np.zeros((3, 5, 6, 7))
         disp[axis] = 0.5
-        out = warp_labels(v, DeformationField(disp))
+        out = warp_labels(v, np.eye(4), DeformationField(disp))
         expected = np.take(data, np.minimum(np.arange(n) + 1, n - 1), axis=axis)
         assert np.array_equal(out.data, expected)
         disp[axis] = -0.5
-        out = warp_labels(v, DeformationField(disp))
+        out = warp_labels(v, np.eye(4), DeformationField(disp))
         assert np.array_equal(out.data, data)
 
     def test_never_invents_labels(self, rng):
         v = make_labels(rng.integers(3, 7, size=(6, 6, 6)))
         disp = rng.uniform(-10, 10, size=(3, 6, 6, 6))
-        out = warp_labels(v, DeformationField(disp))
+        out = warp_labels(v, np.eye(4), DeformationField(disp))
         assert set(np.unique(out.data)) <= set(np.unique(v.data))
 
     def test_dim_mismatch_rejected(self, rng):
         v = make_labels(np.zeros((4, 4, 4)))
         with pytest.raises(ValueError, match="dims"):
-            warp_labels(v, DeformationField(np.zeros((3, 5, 5, 5))))
+            warp_labels(v, np.eye(4), DeformationField(np.zeros((3, 5, 5, 5))))
+
+    def test_singular_affine_rejected(self):
+        singular = np.eye(4)
+        singular[1, 1] = 0.0
+        with pytest.raises(ValueError, match="singular"):
+            warp_labels(make_labels(np.zeros((4, 4, 4))), singular, DeformationField(np.zeros((3, 4, 4, 4))))
+
+    @pytest.mark.parametrize("dims", [(160, 160, 160), (37, 53, 29), (2, 90, 61)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fused_pull_equals_the_composed_field_pull(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        v = make_labels(rng.integers(0, 60, dims))
+        _, matrix = sample_affine(GeneratorConfig(), rng, dims)
+        nonlin = DeformationField(upsample_svf(sample_svf(GeneratorConfig(), rng), dims))
+        expected = pull_through_field(v.data, compose_transforms(matrix, nonlin))
+        out = warp_labels(v, matrix, nonlin)
+        assert out.dtype == v.dtype
+        assert out.data.tobytes() == expected.tobytes()
+
+
+def pull_through_field(data, field):
+    """Nearest-neighbour pull through a dense field: x -> x + field(x)."""
+    flat = np.zeros(data.shape, dtype=np.intp)
+    for c, n in enumerate(data.shape):
+        flat *= n
+        flat += nearest_indices(field.displacement[c] + axis_coordinates(data.shape, c), n)
+    return data.ravel()[flat]
 
 
 class TestJacobian:
@@ -379,3 +421,22 @@ def test_no_memory_is_held_beyond_the_results(rng):
         tracemalloc.stop()
     results = field.displacement.nbytes + composed.displacement.nbytes + det.data.nbytes
     assert held - results < vel.nbytes / 4
+
+
+def test_deform_stage_holds_at_most_two_fields(rng):
+    # upsample, integrate and pull as generate_sample nests them: the velocity
+    # is freed once scaled, and the pull builds no composed field
+    dims = (96, 96, 96)
+    labels = make_labels(rng.integers(0, 60, dims))
+    svf = SVF(rng.standard_normal((10, 10, 10, 3)) * 3.0, 3.0)
+    _, matrix = sample_affine(GeneratorConfig(), rng, dims)
+    field_bytes = 3 * np.prod(dims) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = warp_labels(labels, matrix, integrate_svf(upsample_svf(svf, dims)))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.dims == dims
+    assert peak < 2.5 * field_bytes

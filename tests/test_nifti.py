@@ -117,12 +117,47 @@ def test_unsupported_datatype_rejected(tmp_path):
     path = tmp_path / "f64.nii"
     write_nifti(v.astype(np.float32), path, datatype=np.float32)
     raw = bytearray(path.read_bytes())
-    struct.pack_into("<h", raw, 70, 64)  # float64 code
+    struct.pack_into("<h", raw, 70, 32)  # complex64 code
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="datatype"):
         read_nifti(path)
     with pytest.raises(ValueError, match="datatype"):
         write_nifti(v, tmp_path / "bad.nii", datatype=np.float64)
+
+
+READ_ONLY_DTYPES = [
+    (np.uint16, 512, [0, 1, 65535]),
+    (np.int64, 1024, [-(2**63), 0, 2**63 - 1]),
+    (np.float64, 64, [-1.5e300, 0.0, 5e-324]),
+]
+
+
+def write_raw_payload(path, data, code):
+    """A little-endian NIfTI file of `data` under datatype `code`: the header
+    write_nifti gives the same shape, with its datatype and bitpix patched."""
+    write_nifti(make_labels(np.zeros(data.shape, dtype=np.uint8)), path)
+    raw = bytearray(path.read_bytes()[:352])
+    struct.pack_into("<2h", raw, 70, code, data.dtype.itemsize * 8)
+    path.write_bytes(bytes(raw) + data.astype(data.dtype.newbyteorder("<")).tobytes(order="F"))
+
+
+@pytest.mark.parametrize("dtype,code,values", READ_ONLY_DTYPES)
+def test_read_only_datatypes_round_trip(tmp_path, rng, dtype, code, values):
+    data = rng.choice(np.array(values, dtype=dtype), size=(5, 4, 3))
+    write_raw_payload(tmp_path / "v.nii", data, code)
+    back = read_nifti(tmp_path / "v.nii")
+    assert back.dtype == dtype
+    assert back.data.tobytes() == data.tobytes()
+
+
+@pytest.mark.parametrize("dtype,code,values", READ_ONLY_DTYPES)
+def test_read_only_datatypes_truncated_is_io_error(tmp_path, dtype, code, values):
+    data = np.array(values * 20, dtype=dtype).reshape(5, 4, 3)
+    path = tmp_path / "v.nii"
+    write_raw_payload(path, data, code)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(OSError, match="truncated"):
+        read_nifti(path)
 
 
 def test_truncated_file_is_io_error(tmp_path):

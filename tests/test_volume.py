@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voxsynth import volume
 from voxsynth.volume import (
     Volume,
     axis_positions,
@@ -9,6 +10,7 @@ from voxsynth.volume import (
     flip_lr,
     relabel,
     resample,
+    resample_axis,
 )
 
 from conftest import make_image, make_labels
@@ -275,3 +277,56 @@ class TestRelabel:
             relabel(np.array([-3, 1]).reshape(2, 1, 1), {})
         with pytest.raises(ValueError, match="negative label -1"):
             relabel(np.array([0, 1]).reshape(2, 1, 1), {-1: 1})
+
+    def test_value_that_does_not_fit_the_dtype_rejected(self):
+        # 300 used to wrap to 44 in a uint8 map
+        with pytest.raises(ValueError, match="label 300 does not fit the data's dtype uint8"):
+            relabel(np.array([1, 2], np.uint8), {1: 300})
+        with pytest.raises(ValueError, match="label -1 does not fit the data's dtype uint16"):
+            relabel(np.array([1, 2], np.uint16), {2: -1})
+
+    def test_only_keys_the_data_can_hold_are_checked(self):
+        out = relabel(np.array([1, 2], np.uint8), {1: 7, 900: 70000, 2: 255})
+        assert out.dtype == np.uint8
+        assert out.tolist() == [7, 255]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64])
+    def test_dtype_kept_and_unnamed_labels_unchanged(self, rng, dtype):
+        data = rng.integers(0, 50, (6, 5, 4)).astype(dtype)
+        mapping = {3: 40, 40: 3, 7: 0, 99: 1}
+        out = relabel(data, mapping)
+        assert out.dtype == dtype
+        expected = np.array([mapping.get(int(v), int(v)) for v in data.ravel()]).reshape(data.shape)
+        assert np.array_equal(out, expected)
+
+
+def whole_volume_lerp(data, axis, n_dst, s_dst, s_src):
+    """The resample_axis formula over the whole volume at once."""
+    n = data.shape[axis]
+    p = np.clip(axis_positions(n_dst, s_dst, n, s_src), 0.0, n - 1.0)
+    i0 = np.floor(p).astype(np.intp)
+    if n > 1:
+        np.minimum(i0, n - 2, out=i0)
+    shape = [1] * data.ndim
+    shape[axis] = n_dst
+    f = (p - i0).reshape(shape)
+    lo = np.take(data, i0, axis=axis).astype(np.float64)
+    hi = np.take(data, np.minimum(i0 + 1, n - 1), axis=axis).astype(np.float64)
+    return (1.0 - f) * lo + f * hi
+
+
+class TestResampleAxis:
+    @pytest.mark.parametrize("slab", [1, 7, 64 * 1024])
+    @pytest.mark.parametrize("shape", [(7, 1, 300), (300, 5, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+    def test_slabs_equal_the_whole_volume_formula(self, rng, monkeypatch, slab, shape, dtype):
+        monkeypatch.setattr(volume, "_SLAB", slab)
+        data = (rng.standard_normal(shape) * 1000).astype(dtype)
+        for axis in range(3):
+            n = shape[axis]
+            for n_dst in (1, 2, 3 * n + 1, max(1, n // 3)):
+                got = resample_axis(data, axis, n_dst, n / n_dst, 1.0)
+                expected = whole_volume_lerp(data, axis, n_dst, n / n_dst, 1.0)
+                assert got.dtype == np.float64
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
