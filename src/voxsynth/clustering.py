@@ -26,6 +26,8 @@ __all__ = [
 SUBLABEL_STRIDE = 1000  # sub-label id = parent * stride + component index (1-based)
 _STD_FLOOR_FRACTION = 1e-3
 _STD_FLOOR_ABS = 1e-12
+_HALF_LOG_2PI = 0.5 * np.log(2 * np.pi)
+_BLOCK = 8192  # samples per E-step block; keeps its (k, block) temporaries in cache
 
 
 @dataclass(frozen=True)
@@ -44,28 +46,56 @@ class Gmm1D:
 
     def log_responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Unnormalised per-component log posteriors, shape (k, len(x))."""
-        return _log_resp(x, self.weights, self.means, self.stds)
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty((self.means.size, x.size))
+        return _log_density(x, self.weights, self.means, self.stds, out)
 
     def assign(self, x: np.ndarray) -> np.ndarray:
         """Hard assignment of each sample to its most responsible component."""
         return np.argmax(self.log_responsibilities(x), axis=0)
 
 
-def _log_resp(x, weights: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    mu = means[:, None]
+def _log_density(x: np.ndarray, weights, means, stds, out: np.ndarray) -> np.ndarray:
+    """Fill `out` (k, len(x)) with log(w) + the Gaussian log-density of each
+    sample under each component, operation by operation in the order
+    ``-0.5 * ((x - mu) / sigma) ** 2 - log sigma - 0.5 log 2pi + log w``."""
     sigma = stds[:, None]
-    log_pdf = -0.5 * ((x - mu) / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(2 * np.pi)
-    return log_pdf + np.log(weights[:, None])
+    np.subtract(x, means[:, None], out=out)
+    out /= sigma
+    np.square(out, out=out)
+    out *= -0.5
+    out -= np.log(sigma)
+    out -= _HALF_LOG_2PI
+    out += np.log(weights[:, None])
+    return out
 
 
-def _e_step(log_resp: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood of the samples, the unnormalised responsibilities
-    exp(log_resp - peak) and their column sums, from one pass of exp."""
-    peak = log_resp.max(axis=0)
-    resp = np.exp(log_resp - peak)
-    total = resp.sum(axis=0)
-    return float(np.sum(peak + np.log(total))), resp, total
+def _e_step(x: np.ndarray, weights, means, stds, resp: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Log-likelihood of the samples and their normalised responsibilities,
+    written into `resp` (k, len(x)) when given.
+
+    The log-density, its column max `peak`, ``exp(lr - peak)`` and the
+    normalisation run on blocks of `_BLOCK` samples in one small buffer, so
+    no (k, n) temporary is built; every value is the one the whole-array
+    arithmetic gives. The log-likelihood ``sum(peak + log(total))`` is summed
+    over the whole arrays, in the whole-array order.
+    """
+    k, n = means.size, x.size
+    if resp is None:
+        resp = np.empty((k, n))
+    peak = np.empty(n)
+    total = np.empty(n)
+    scratch = np.empty(k * min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        lr = _log_density(x[start:stop], weights, means, stds, scratch[: k * (stop - start)].reshape(k, -1))
+        lr.max(axis=0, out=peak[start:stop])
+        lr -= peak[start:stop]
+        block = resp[:, start:stop]
+        np.exp(lr, out=block)
+        block.sum(axis=0, out=total[start:stop])
+        block /= total[start:stop]
+    return float(np.sum(peak + np.log(total))), resp
 
 
 def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D:
@@ -75,7 +105,8 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
     the fit is deterministic. Iteration stops when the log-likelihood improves
     by less than `tol` or after `max_iters` passes; the trace is
     non-decreasing. Component collapse is prevented by flooring stds at a
-    small fraction of the sample range rather than failing.
+    small fraction of the sample range rather than failing. Non-finite
+    samples raise ``ValueError``.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if k < 1:
@@ -83,14 +114,17 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
     if x.size < k:
         raise ValueError(f"need at least k={k} samples, got {x.size}")
 
-    span = float(x.max() - x.min())
+    lo, hi = float(x.min()), float(x.max())
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("samples must be finite, got NaN or infinity")
+    span = hi - lo
     floor = max(_STD_FLOOR_FRACTION * span, _STD_FLOOR_ABS)
 
     if span == 0.0:
         weights = np.full(k, 1.0 / k)
         means = np.full(k, float(x[0]))
         stds = np.full(k, floor)
-        return Gmm1D(weights, means, stds, (_e_step(_log_resp(x, weights, means, stds))[0],))
+        return Gmm1D(weights, means, stds, (_e_step(x, weights, means, stds)[0],))
 
     # means at evenly spaced quantiles; stds and weights from the partition of
     # samples by nearest initial mean, so separated modes stay separated
@@ -107,13 +141,12 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
     weights = weights / weights.sum()
 
     trace: list[float] = []
+    resp = np.empty((k, x.size))
     for _ in range(max_iters):
-        log_likelihood, resp, total = _e_step(_log_resp(x, weights, means, stds))
+        log_likelihood, resp = _e_step(x, weights, means, stds, resp)
         trace.append(log_likelihood)
         if len(trace) > 1 and trace[-1] - trace[-2] < tol:
             break
-
-        resp /= total
 
         counts = resp.sum(axis=1)
         new_means = means.copy()
@@ -130,7 +163,7 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
         weights = weights / weights.sum()
     else:
         # iteration budget exhausted after an update: record its likelihood
-        trace.append(_e_step(_log_resp(x, weights, means, stds))[0])
+        trace.append(_e_step(x, weights, means, stds, resp)[0])
 
     return Gmm1D(weights, means, stds, tuple(trace))
 
@@ -172,6 +205,9 @@ def subdivide_labels(
     lo, hi = (int(v) for v in bg_k_range)
     if not (1 <= lo <= hi):
         raise ValueError(f"invalid background class range {bg_k_range}")
+    fg_k = int(fg_k)
+    if fg_k < 1:
+        raise ValueError(f"fg_k (clusters per foreground label) must be >= 1, got {fg_k}")
     bg_k = int(rng.integers(lo, hi + 1))
 
     data = labels.data
@@ -180,7 +216,7 @@ def subdivide_labels(
     intensities = np.asarray(image.data, dtype=np.float64)
 
     for parent in labels.labels_present():
-        k = bg_k if parent == 0 else int(fg_k)
+        k = bg_k if parent == 0 else fg_k
         mask = data == parent
         values = intensities[mask]
         if values.size < k:
@@ -192,7 +228,10 @@ def subdivide_labels(
             out[mask] = parent
             mapping[parent] = parent
             continue
-        clusters = _split_region(values, k)
+        try:
+            clusters = _split_region(values, k)
+        except ValueError as err:
+            raise ValueError(f"label {parent}: {err}") from err
         out[mask] = parent * SUBLABEL_STRIDE + clusters + 1
         for index in range(k):
             mapping[parent * SUBLABEL_STRIDE + index + 1] = parent

@@ -135,7 +135,7 @@ def upsample_svf(svf: SVF, target_dims) -> np.ndarray:
         raise ValueError(f"target dims must be >= 2 per axis, got {target_dims}")
     out = np.empty((3,) + target_dims, dtype=np.float64)
     for c in range(3):
-        out[c] = resize_trilinear(svf.grid[..., c], target_dims)
+        resize_trilinear(svf.grid[..., c], target_dims, out=out[c])
     return out
 
 

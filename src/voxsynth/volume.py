@@ -148,15 +148,18 @@ def axis_coordinates(dims, axis: int) -> np.ndarray:
     return np.arange(dims[axis], dtype=np.float64).reshape(shape)
 
 
-def resample_axis(data: np.ndarray, axis: int, n_dst: int, s_dst: float, s_src: float) -> np.ndarray:
+def resample_axis(
+    data: np.ndarray, axis: int, n_dst: int, s_dst: float, s_src: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Linear resampling of `data` along one axis onto `n_dst` voxels of
     `s_dst` spacing, the source voxels being `s_src` apart (the
     :func:`axis_positions` grid), with edge clamping.
 
     Each output voxel is ``(1.0 - f) * lo + f * hi`` in float64, whatever the
-    input dtype. The output is filled in slabs of about `_SLAB` voxels along
-    another axis, so the gathered ``lo``/``hi`` values and their products stay
-    small instead of costing three more whole-volume temporaries.
+    input dtype. The output (a new array, or `out`, a float64 array of the
+    output shape) is filled in slabs of about `_SLAB` voxels along another
+    axis, so the gathered ``lo``/``hi`` values and their products stay small
+    instead of costing three more whole-volume temporaries.
     """
     n = data.shape[axis]
     p = np.clip(axis_positions(n_dst, s_dst, n, s_src), 0.0, n - 1.0)
@@ -167,7 +170,10 @@ def resample_axis(data: np.ndarray, axis: int, n_dst: int, s_dst: float, s_src: 
     f = (p - i0).reshape([-1 if a == axis else 1 for a in range(data.ndim)])
     shape = list(data.shape)
     shape[axis] = n_dst
-    out = np.empty(shape)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != tuple(shape) or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {tuple(shape)}, got {out.dtype} {out.shape}")
     slab_axis = 1 if axis == 0 else 0
     step = max(1, _SLAB * out.shape[slab_axis] // out.size)
     index = [slice(None)] * data.ndim
@@ -185,20 +191,23 @@ def nearest_indices(pos: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(idx, n - 1)
 
 
-def resize_trilinear(data: np.ndarray, target_dims) -> np.ndarray:
+def resize_trilinear(data: np.ndarray, target_dims, out: np.ndarray | None = None) -> np.ndarray:
     """Resize a 3D scalar grid to `target_dims` with centre-aligned trilinear
     interpolation, treating both grids as covering the same field of view.
 
     Linear interpolation is separable, so this runs as three cheap 1-D passes.
+    Given `out` (float64, `target_dims`), the last pass writes straight into
+    it.
     """
-    out = np.asarray(data, dtype=np.float64)
-    for axis in range(3):
-        n_src = out.shape[axis]
-        n_dst = int(target_dims[axis])
-        if n_dst == n_src:
-            continue
-        out = resample_axis(out, axis, n_dst, n_src / n_dst, 1.0)
-    return out
+    grid = np.asarray(data, dtype=np.float64)
+    axes = [a for a in range(3) if int(target_dims[a]) != grid.shape[a]]
+    if out is not None and not axes:
+        out[...] = grid
+        return out
+    for axis in axes:
+        n_src, n_dst = grid.shape[axis], int(target_dims[axis])
+        grid = resample_axis(grid, axis, n_dst, n_src / n_dst, 1.0, out=out if axis == axes[-1] else None)
+    return grid
 
 
 def resampled_size(n: int, s: float, t: float) -> int:

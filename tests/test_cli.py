@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from voxsynth import clustering
 from voxsynth.cli import dispatch
 from voxsynth.manifest import SampleManifest
 from voxsynth.nifti import read_nifti, write_nifti
@@ -210,6 +211,23 @@ def test_enhance_labels_rejects_zero_bg_classes(tmp_path, caplog, rng):
     )
     assert code != 0
     assert "(0, 0)" in caplog.text
+    assert not (tmp_path / "sub.nii").exists()
+
+
+def test_enhance_labels_rejects_zero_fg_classes(tmp_path, caplog, rng, monkeypatch):
+    fits = []
+    monkeypatch.setattr(clustering, "em_fit_1d", lambda *a, **kw: fits.append(a))
+    labels = demo_phantom(16)
+    write_nifti(make_image(rng.uniform(0, 1, labels.dims)), tmp_path / "img.nii")
+    write_nifti(labels, tmp_path / "seg.nii")
+    code = dispatch(
+        ["--quiet", "enhance-labels", "--image", str(tmp_path / "img.nii"),
+         "--labels", str(tmp_path / "seg.nii"), "--out", str(tmp_path / "sub.nii"),
+         "--map", str(tmp_path / "map.csv"), "--fg-classes", "0"]
+    )
+    assert code == 3
+    assert "fg_k" in caplog.text and "got 0" in caplog.text
+    assert fits == []  # refused before the background fit
     assert not (tmp_path / "sub.nii").exists()
 
 

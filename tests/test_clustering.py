@@ -1,9 +1,43 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from voxsynth.clustering import _e_step, apply_parent_mapping, em_fit_1d, subdivide_labels
+from voxsynth import clustering
+from voxsynth.clustering import _BLOCK, _e_step, apply_parent_mapping, em_fit_1d, subdivide_labels
 
 from conftest import make_image, make_labels
+
+
+def whole_log_resp(x, weights, means, stds):
+    """The log-density of every sample under every component as one
+    whole-array expression: the reference for the blocked arithmetic."""
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    mu, sigma = means[:, None], stds[:, None]
+    log_pdf = -0.5 * ((x - mu) / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(2 * np.pi)
+    return log_pdf + np.log(weights[:, None])
+
+
+def whole_e_step(x, weights, means, stds, resp=None):
+    """The E-step on whole (k, n) arrays, with `_e_step`'s signature."""
+    log_resp = whole_log_resp(x, weights, means, stds)
+    peak = log_resp.max(axis=0)
+    resp = np.exp(log_resp - peak)
+    total = resp.sum(axis=0)
+    log_likelihood = float(np.sum(peak + np.log(total)))
+    resp /= total
+    return log_likelihood, resp
+
+
+def mixture(rng, n):
+    comps = [rng.normal(m, s, n) for m, s in ((20.0, 4.0), (60.0, 9.0), (130.0, 15.0))]
+    return np.choose(rng.integers(0, 3, n), comps)
+
+
+def assert_same_fit(a, b):
+    assert a.log_likelihoods == b.log_likelihoods
+    for got, expected in ((a.weights, b.weights), (a.means, b.means), (a.stds, b.stds)):
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestEmFit:
@@ -42,7 +76,7 @@ class TestEmFit:
         exhausted = em_fit_1d(x, k=3, max_iters=3)
         assert len(converged.log_likelihoods) < 200 and len(exhausted.log_likelihoods) == 4
         for gmm in (converged, exhausted):
-            assert gmm.log_likelihoods[-1] == _e_step(gmm.log_responsibilities(x))[0]
+            assert gmm.log_likelihoods[-1] == _e_step(x, gmm.weights, gmm.means, gmm.stds)[0]
 
     def test_weights_sum_to_one(self, rng):
         gmm = em_fit_1d(rng.uniform(0, 1, 200), k=4)
@@ -56,11 +90,72 @@ class TestEmFit:
         # every sample lands in one component under hard assignment
         assert len(set(gmm.assign(np.full(50, 3.0)))) == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            em_fit_1d([1.0, 2.0, bad, 4.0], k=2)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="at least"):
             em_fit_1d([1.0, 2.0], k=3)
         with pytest.raises(ValueError, match="k"):
             em_fit_1d([1.0, 2.0], k=0)
+
+
+class TestBlockedEStep:
+    """The E-step runs on blocks of `_BLOCK` samples; every fit and every
+    responsibility must keep the bits of the whole-array arithmetic."""
+
+    @pytest.mark.parametrize(
+        "block, n",
+        [(1, 23), (7, 7), (7, 50), (None, _BLOCK - 1), (None, _BLOCK), (None, _BLOCK + 1), (None, 3 * _BLOCK + 5)],
+    )
+    def test_fit_equals_the_whole_array_e_step(self, rng, monkeypatch, block, n):
+        if block is not None:
+            monkeypatch.setattr(clustering, "_BLOCK", block)
+        x = mixture(rng, n)
+        for k in (1, 2, 3):
+            blocked = em_fit_1d(x, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(clustering, "_e_step", whole_e_step)
+                whole = em_fit_1d(x, k)
+            assert_same_fit(blocked, whole)
+            log_likelihood, resp = _e_step(x, blocked.weights, blocked.means, blocked.stds)
+            expected = whole_e_step(x, blocked.weights, blocked.means, blocked.stds)
+            assert log_likelihood == expected[0]
+            assert resp.tobytes() == expected[1].tobytes()
+            assert blocked.log_responsibilities(x).tobytes() == whole_log_resp(
+                x, blocked.weights, blocked.means, blocked.stds
+            ).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_starved_component_and_constant_samples(self, rng, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(clustering, "_BLOCK", block)
+        # the middle quantile falls in the gap between two tight clusters, so
+        # its component gets no responsibility and keeps its mean
+        gap = np.concatenate([rng.normal(0.0, 1.0, 500), rng.normal(100.0, 1.0, 500)])
+        for x, k in ((gap, 3), (np.full(50, 3.0), 2)):
+            blocked = em_fit_1d(x, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(clustering, "_e_step", whole_e_step)
+                whole = em_fit_1d(x, k)
+            assert_same_fit(blocked, whole)
+        starved = em_fit_1d(gap, 3)
+        assert 10.0 < starved.means[1] < 90.0
+        assert starved.stds[1] == 1e-3 * (gap.max() - gap.min())
+
+    def test_fit_holds_few_k_by_n_arrays(self, rng):
+        n, k = 200_000, 4
+        x = rng.normal(0.0, 1.0, n) * rng.choice([1.0, 5.0, 20.0, 60.0], n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            em_fit_1d(x, k, max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * k * n * 8
 
 
 class TestSubdivide:
@@ -133,6 +228,20 @@ class TestSubdivide:
             sub, mapping = subdivide_labels(image, labels, rng=rng)
             n_classes = len([s for s in mapping if mapping[s] == 0])
             assert 3 <= n_classes <= 10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_intensity_names_the_label(self, rng, bad):
+        image = make_image(np.array([1.0, 2.0, bad, 4.0]).reshape(4, 1, 1))
+        with pytest.raises(ValueError, match="label 0: samples must be finite"):
+            subdivide_labels(image, make_labels(np.zeros((4, 1, 1))), bg_k_range=(3, 3), rng=rng)
+
+    def test_zero_foreground_classes_rejected_before_any_fit(self, rng, monkeypatch):
+        fits = []
+        monkeypatch.setattr(clustering, "em_fit_1d", lambda *a, **kw: fits.append(a))
+        labels = make_labels(rng.integers(0, 3, size=(6, 6, 6)))
+        with pytest.raises(ValueError, match="fg_k .* must be >= 1, got 0"):
+            subdivide_labels(make_image(rng.uniform(0, 1, (6, 6, 6))), labels, fg_k=0, rng=rng)
+        assert fits == []
 
     def test_geometry_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="dims"):

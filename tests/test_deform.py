@@ -21,7 +21,7 @@ from voxsynth.deform import (
     warp_labels,
     _self_compose,
 )
-from voxsynth.volume import axis_coordinates, axis_positions, nearest_indices
+from voxsynth.volume import axis_coordinates, axis_positions, nearest_indices, resize_trilinear
 
 from conftest import make_labels
 
@@ -96,6 +96,27 @@ class TestSampleSvf:
 
 
 class TestUpsampleSvf:
+    @pytest.mark.parametrize("dims", [(96, 96, 96), (5, 40, 7), (5, 6, 7), (33, 6, 2), (12, 13, 7)])
+    def test_components_equal_their_resize(self, rng, dims):
+        # the last pass of each component writes into the output; dims equal
+        # to the grid's on the last axis, or on every axis, move that pass
+        grid = rng.standard_normal((5, 6, 7, 3)) * 3.0
+        field = upsample_svf(SVF(grid, 3.0), dims)
+        expected = np.stack([resize_trilinear(grid[..., c], dims) for c in range(3)])
+        assert field.flags.c_contiguous
+        assert field.tobytes() == expected.tobytes()
+
+    def test_holds_one_field(self, rng):
+        svf = SVF(rng.standard_normal((10, 10, 10, 3)) * 3.0, 3.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            field = upsample_svf(svf, (96, 96, 96))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * field.nbytes
+
     def test_zero_grid_gives_zero_field(self):
         field = upsample_svf(SVF(np.zeros((10, 10, 10, 3)), 0.0), (12, 13, 14))
         assert field.shape == (3, 12, 13, 14)

@@ -330,3 +330,10 @@ class TestResampleAxis:
                 assert got.dtype == np.float64
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
+
+    def test_out_of_the_wrong_shape_or_dtype_rejected(self):
+        data = np.zeros((4, 5, 6))
+        with pytest.raises(ValueError, match="out must be float64"):
+            resample_axis(data, 1, 8, 0.5, 1.0, out=np.empty((4, 5, 6)))
+        with pytest.raises(ValueError, match="out must be float64"):
+            resample_axis(data, 1, 8, 0.5, 1.0, out=np.empty((4, 8, 6), np.float32))
