@@ -28,21 +28,20 @@ _STD_FLOOR_FRACTION = 1e-3
 _STD_FLOOR_ABS = 1e-12
 _HALF_LOG_2PI = 0.5 * np.log(2 * np.pi)
 _BLOCK = 8192  # samples per E-step block; keeps its (k, block) temporaries in cache
+_BINS = 4000  # bins per region: 4 per std floor, so a bin is at most a quarter of it
 
 
 @dataclass(frozen=True)
 class Gmm1D:
-    """Fitted mixture: component weights, means, stds, and the log-likelihood
-    trace across iterations (non-decreasing)."""
+    """Fitted mixture: component weights, means and stds, the trace of the
+    binned EM objective across iterations (non-decreasing), and the exact
+    log-likelihood of the samples under the returned fit."""
 
     weights: np.ndarray
     means: np.ndarray
     stds: np.ndarray
     log_likelihoods: tuple[float, ...]
-
-    @property
-    def log_likelihood(self) -> float:
-        return self.log_likelihoods[-1]
+    log_likelihood: float
 
     def log_responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Unnormalised per-component log posteriors, shape (k, len(x))."""
@@ -51,8 +50,17 @@ class Gmm1D:
         return _log_density(x, self.weights, self.means, self.stds, out)
 
     def assign(self, x: np.ndarray) -> np.ndarray:
-        """Hard assignment of each sample to its most responsible component."""
-        return np.argmax(self.log_responsibilities(x), axis=0)
+        """Hard assignment of each sample to its most responsible component,
+        taken block by block so no (k, len(x)) array is built."""
+        x = np.asarray(x, dtype=np.float64)
+        k, n = self.means.size, x.size
+        out = np.empty(n, dtype=np.intp)
+        scratch = np.empty(k * min(n, _BLOCK))
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            block = scratch[: k * (stop - start)].reshape(k, -1)
+            _log_density(x[start:stop], self.weights, self.means, self.stds, block).argmax(axis=0, out=out[start:stop])
+        return out
 
 
 def _log_density(x: np.ndarray, weights, means, stds, out: np.ndarray) -> np.ndarray:
@@ -72,17 +80,23 @@ def _log_density(x: np.ndarray, weights, means, stds, out: np.ndarray) -> np.nda
 
 def _e_step(x: np.ndarray, weights, means, stds, resp: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Log-likelihood of the samples and their normalised responsibilities,
-    written into `resp` (k, len(x)) when given.
+    written into `resp` (k, len(x)) when given."""
+    if resp is None:
+        resp = np.empty((means.size, x.size))
+    return _sample_log_likelihood(x, weights, means, stds, resp), resp
+
+
+def _sample_log_likelihood(x: np.ndarray, weights, means, stds, resp: np.ndarray | None = None) -> float:
+    """Exact log-likelihood of the samples; with `resp` (k, len(x)) given,
+    their normalised responsibilities are written into it.
 
     The log-density, its column max `peak`, ``exp(lr - peak)`` and the
     normalisation run on blocks of `_BLOCK` samples in one small buffer, so
-    no (k, n) temporary is built; every value is the one the whole-array
-    arithmetic gives. The log-likelihood ``sum(peak + log(total))`` is summed
-    over the whole arrays, in the whole-array order.
+    without `resp` no (k, n) array is held; every value is the one the
+    whole-array arithmetic gives. The log-likelihood ``sum(peak + log(total))``
+    is summed over the whole arrays, in the whole-array order.
     """
     k, n = means.size, x.size
-    if resp is None:
-        resp = np.empty((k, n))
     peak = np.empty(n)
     total = np.empty(n)
     scratch = np.empty(k * min(n, _BLOCK))
@@ -91,22 +105,72 @@ def _e_step(x: np.ndarray, weights, means, stds, resp: np.ndarray | None = None)
         lr = _log_density(x[start:stop], weights, means, stds, scratch[: k * (stop - start)].reshape(k, -1))
         lr.max(axis=0, out=peak[start:stop])
         lr -= peak[start:stop]
-        block = resp[:, start:stop]
+        block = lr if resp is None else resp[:, start:stop]
         np.exp(lr, out=block)
         block.sum(axis=0, out=total[start:stop])
-        block /= total[start:stop]
-    return float(np.sum(peak + np.log(total))), resp
+        if resp is not None:
+            block /= total[start:stop]
+    np.log(total, out=total)
+    total += peak  # the same bits as peak + log(total), without a third array
+    return float(np.sum(total))
+
+
+def _bin_statistics(x: np.ndarray, lo: float, span: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count, mean and scatter (sum of squared deviations from the bin mean)
+    of every non-empty bin of `_BINS` equal bins over ``[lo, lo + span]``.
+
+    The index is ``(x - lo) / span * _BINS``: a subnormal span divides
+    without overflow, where ``_BINS / span`` would be infinite.
+    """
+    t = x - lo
+    t /= span
+    t *= _BINS
+    index = t.astype(np.intp)
+    np.minimum(index, _BINS - 1, out=index)  # x == hi lands in the last bin
+    counts = np.bincount(index, minlength=_BINS).astype(np.float64)
+    full_means = np.bincount(index, weights=x, minlength=_BINS)
+    occupied = counts > 0
+    full_means[occupied] /= counts[occupied]
+    np.take(full_means, index, out=t, mode="clip")  # "raise" would copy into a temporary
+    np.subtract(x, t, out=t)
+    np.square(t, out=t)
+    scatter = np.bincount(index, weights=t, minlength=_BINS)
+    return counts[occupied], full_means[occupied], scatter[occupied]
+
+
+def _binned_e_step(counts, bin_means, half_spread, weights, means, stds, resp: np.ndarray) -> float:
+    """Binned EM objective and the per-bin responsibilities, written into
+    `resp` (k, bins).
+
+    Samples of one bin share their responsibilities, so a component's log
+    weight is its log-density at the bin mean minus ``scatter / (2 n sigma^2)``
+    (`half_spread` is ``scatter / (2 n)``). The objective, the sum over bins
+    of ``n * log(sum_j exp(.))``, is a lower bound on the sample
+    log-likelihood, and EM does not decrease it.
+    """
+    _log_density(bin_means, weights, means, stds, resp)
+    resp -= half_spread / np.square(stds)[:, None]
+    peak = resp.max(axis=0)
+    resp -= peak
+    np.exp(resp, out=resp)
+    total = resp.sum(axis=0)
+    resp /= total
+    return float(counts @ (peak + np.log(total)))
 
 
 def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D:
     """Fit a k-component 1-D Gaussian mixture by expectation-maximisation.
 
+    The samples are binned once into `_BINS` equal bins over their range,
+    keeping each bin's count, mean and scatter; every iteration then runs on
+    the bins, with the samples of a bin sharing their responsibilities.
     Means start at evenly spaced sample quantiles (the (i + 0.5)/k levels), so
-    the fit is deterministic. Iteration stops when the log-likelihood improves
-    by less than `tol` or after `max_iters` passes; the trace is
-    non-decreasing. Component collapse is prevented by flooring stds at a
+    the fit is deterministic. Iteration stops when the binned objective
+    improves by less than `tol` or after `max_iters` passes; its trace is
+    non-decreasing. One exact pass over the samples gives the returned
+    log-likelihood. Component collapse is prevented by flooring stds at a
     small fraction of the sample range rather than failing. Non-finite
-    samples raise ``ValueError``.
+    samples, and a range whose square overflows, raise ``ValueError``.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if k < 1:
@@ -118,54 +182,63 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("samples must be finite, got NaN or infinity")
     span = hi - lo
+    if not np.isfinite(span * span):
+        raise ValueError(f"sample range [{lo!r}, {hi!r}] is too wide: its square overflows")
     floor = max(_STD_FLOOR_FRACTION * span, _STD_FLOOR_ABS)
 
     if span == 0.0:
         weights = np.full(k, 1.0 / k)
         means = np.full(k, float(x[0]))
         stds = np.full(k, floor)
-        return Gmm1D(weights, means, stds, (_e_step(x, weights, means, stds)[0],))
+        log_likelihood = _sample_log_likelihood(x, weights, means, stds)
+        return Gmm1D(weights, means, stds, (log_likelihood,), log_likelihood)
+
+    counts, bin_means, scatter = _bin_statistics(x, lo, span)
+    half_spread = scatter / (2.0 * counts)
 
     # means at evenly spaced quantiles; stds and weights from the partition of
-    # samples by nearest initial mean, so separated modes stay separated
+    # bins by nearest initial mean, so separated modes stay separated
     quantiles = (np.arange(k) + 0.5) / k
     means = np.quantile(x, quantiles)
-    nearest = np.argmin(np.abs(x[None, :] - means[:, None]), axis=0)
+    nearest = np.argmin(np.abs(bin_means[None, :] - means[:, None]), axis=0)
     stds = np.full(k, floor)
     weights = np.full(k, 1.0 / x.size)
     for j in range(k):
-        chunk = x[nearest == j]
-        if chunk.size:
-            stds[j] = max(float(chunk.std()), floor)
-            weights[j] = chunk.size / x.size
+        member = nearest == j
+        size = counts[member].sum()
+        if size:
+            centre = counts[member] @ bin_means[member] / size
+            var = (scatter[member].sum() + counts[member] @ np.square(bin_means[member] - centre)) / size
+            stds[j] = max(float(np.sqrt(var)), floor)
+            weights[j] = size / x.size
     weights = weights / weights.sum()
 
     trace: list[float] = []
-    resp = np.empty((k, x.size))
+    resp = np.empty((k, counts.size))
     for _ in range(max_iters):
-        log_likelihood, resp = _e_step(x, weights, means, stds, resp)
-        trace.append(log_likelihood)
+        trace.append(_binned_e_step(counts, bin_means, half_spread, weights, means, stds, resp))
         if len(trace) > 1 and trace[-1] - trace[-2] < tol:
             break
 
-        counts = resp.sum(axis=1)
+        members = resp * counts  # expected samples of each component per bin
+        sizes = members.sum(axis=1)
         new_means = means.copy()
         new_stds = stds.copy()
         for j in range(k):
-            if counts[j] <= _STD_FLOOR_ABS:
+            if sizes[j] <= _STD_FLOOR_ABS:
                 new_stds[j] = floor  # starved component: keep mean, shrink
                 continue
-            new_means[j] = float(resp[j] @ x) / counts[j]
-            var = float(resp[j] @ (x - new_means[j]) ** 2) / counts[j]
+            new_means[j] = float(members[j] @ bin_means) / sizes[j]
+            var = float(resp[j] @ scatter + members[j] @ np.square(bin_means - new_means[j])) / sizes[j]
             new_stds[j] = max(np.sqrt(var), floor)
         means, stds = new_means, new_stds
-        weights = np.maximum(counts / x.size, 1e-12)  # weights stay positive
+        weights = np.maximum(sizes / x.size, 1e-12)  # weights stay positive
         weights = weights / weights.sum()
     else:
-        # iteration budget exhausted after an update: record its likelihood
-        trace.append(_e_step(x, weights, means, stds, resp)[0])
+        # iteration budget exhausted after an update: record its objective
+        trace.append(_binned_e_step(counts, bin_means, half_spread, weights, means, stds, resp))
 
-    return Gmm1D(weights, means, stds, tuple(trace))
+    return Gmm1D(weights, means, stds, tuple(trace), _sample_log_likelihood(x, weights, means, stds))
 
 
 def _split_region(values: np.ndarray, k: int) -> np.ndarray:

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from voxsynth import clustering
-from voxsynth.clustering import _BLOCK, _e_step, apply_parent_mapping, em_fit_1d, subdivide_labels
+from voxsynth.clustering import (
+    _BINS,
+    _BLOCK,
+    _bin_statistics,
+    _e_step,
+    apply_parent_mapping,
+    em_fit_1d,
+    subdivide_labels,
+)
 
 from conftest import make_image, make_labels
 
@@ -27,6 +35,45 @@ def whole_e_step(x, weights, means, stds, resp=None):
     log_likelihood = float(np.sum(peak + np.log(total)))
     resp /= total
     return log_likelihood, resp
+
+
+def per_sample_em_fit(samples, k, max_iters=200, tol=1e-7):
+    """EM on every sample, as `em_fit_1d` ran before it binned: the
+    reference for the binned fit. Returns weights, means and stds."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    lo, hi = float(x.min()), float(x.max())
+    span = hi - lo
+    floor = max(1e-3 * span, 1e-12)
+    means = np.quantile(x, (np.arange(k) + 0.5) / k)
+    nearest = np.argmin(np.abs(x[None, :] - means[:, None]), axis=0)
+    stds = np.full(k, floor)
+    weights = np.full(k, 1.0 / x.size)
+    for j in range(k):
+        chunk = x[nearest == j]
+        if chunk.size:
+            stds[j] = max(float(chunk.std()), floor)
+            weights[j] = chunk.size / x.size
+    weights = weights / weights.sum()
+    trace = []
+    for _ in range(max_iters):
+        log_likelihood, resp = whole_e_step(x, weights, means, stds)
+        trace.append(log_likelihood)
+        if len(trace) > 1 and trace[-1] - trace[-2] < tol:
+            break
+        counts = resp.sum(axis=1)
+        new_means = means.copy()
+        new_stds = stds.copy()
+        for j in range(k):
+            if counts[j] <= 1e-12:
+                new_stds[j] = floor
+                continue
+            new_means[j] = float(resp[j] @ x) / counts[j]
+            var = float(resp[j] @ (x - new_means[j]) ** 2) / counts[j]
+            new_stds[j] = max(np.sqrt(var), floor)
+        means, stds = new_means, new_stds
+        weights = np.maximum(counts / x.size, 1e-12)
+        weights = weights / weights.sum()
+    return weights, means, stds
 
 
 def mixture(rng, n):
@@ -76,7 +123,7 @@ class TestEmFit:
         exhausted = em_fit_1d(x, k=3, max_iters=3)
         assert len(converged.log_likelihoods) < 200 and len(exhausted.log_likelihoods) == 4
         for gmm in (converged, exhausted):
-            assert gmm.log_likelihoods[-1] == _e_step(x, gmm.weights, gmm.means, gmm.stds)[0]
+            assert gmm.log_likelihood == _e_step(x, gmm.weights, gmm.means, gmm.stds)[0]
 
     def test_weights_sum_to_one(self, rng):
         gmm = em_fit_1d(rng.uniform(0, 1, 200), k=4)
@@ -156,6 +203,95 @@ class TestBlockedEStep:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * k * n * 8
+
+
+class TestBinnedFit:
+    """EM runs on `_BINS` bins of each region; the exact log-likelihood of a
+    binned fit may trail the per-sample fit's by at most 1e-5 nats a sample."""
+
+    TOLERANCE = 1e-5  # nats per sample, named before measuring
+
+    def assert_close_to_the_reference(self, x, k):
+        x = np.asarray(x, dtype=np.float64)
+        lo, hi = float(x.min()), float(x.max())
+        assert _bin_statistics(x, lo, hi - lo)[0].sum() == x.size
+        binned = em_fit_1d(x, k)
+        assert binned.log_likelihood == _e_step(x, binned.weights, binned.means, binned.stds)[0]
+        reference = whole_e_step(x, *per_sample_em_fit(x, k))[0]
+        assert binned.log_likelihood / x.size >= reference / x.size - self.TOLERANCE
+        # the binned objective is a lower bound on the exact likelihood
+        assert binned.log_likelihoods[-1] <= binned.log_likelihood + 1e-9 * abs(binned.log_likelihood)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", [50, 500, 5000, 50000])
+    def test_mixture_against_the_per_sample_fit(self, rng, n, k):
+        self.assert_close_to_the_reference(mixture(rng, n), k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_far_outlier(self, rng, k):
+        self.assert_close_to_the_reference(np.append(mixture(rng, 5000), 1e5), k)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_fewer_samples_than_bins(self, rng, k):
+        x = mixture(rng, _BINS // 3)
+        counts, _, scatter = _bin_statistics(x, float(x.min()), float(np.ptp(x)))
+        assert counts.size <= x.size and scatter.min() >= 0.0
+        self.assert_close_to_the_reference(x, k)
+
+    def test_fit_holds_no_k_by_n_array(self, rng):
+        n, k = 200_000, 8
+        x = mixture(rng, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            em_fit_1d(x, k, max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * 8  # three sample-sized arrays; one (k, n) array is eight
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[-1e308, 1e308, 0.0, 1.0], [1e300, 1.0000001e300, 1.0000002e300]],
+    )
+    def test_range_whose_square_overflows_rejected(self, samples):
+        with pytest.raises(ValueError, match="range .* square overflows"):
+            em_fit_1d(samples, 2)
+
+    def test_subnormal_range_fits(self):
+        x = np.array([0.0, 5e-324, 0.0, 5e-324])
+        assert _bin_statistics(x, 0.0, 5e-324)[0].tolist() == [2.0, 2.0]
+        gmm = em_fit_1d(x, 2)
+        for values in (gmm.weights, gmm.means, gmm.stds, gmm.log_likelihoods):
+            assert np.all(np.isfinite(values))
+        assert np.isfinite(gmm.log_likelihood)
+        assert gmm.weights.sum() == pytest.approx(1.0)
+
+
+class TestBlockedAssign:
+    @pytest.mark.parametrize("block", [7, None])
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, 3 * _BLOCK + 5])
+    def test_assign_equals_the_whole_array_argmax(self, rng, monkeypatch, block, n):
+        if block is not None:
+            monkeypatch.setattr(clustering, "_BLOCK", block)
+        x = mixture(rng, n)
+        for k in (1, 3, 4):
+            gmm = em_fit_1d(x, k)
+            expected = np.argmax(whole_log_resp(x, gmm.weights, gmm.means, gmm.stds), axis=0)
+            assert gmm.assign(x).tobytes() == expected.tobytes()
+
+    def test_assign_holds_no_k_by_n_array(self, rng):
+        n, k = 200_000, 4
+        x = mixture(rng, n)
+        gmm = em_fit_1d(x, k)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gmm.assign(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * k * n * 8
 
 
 class TestSubdivide:
