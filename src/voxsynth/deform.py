@@ -60,9 +60,11 @@ class SVF:
 
 @dataclass(frozen=True)
 class DeformationField:
-    """Dense per-voxel displacement, shape (3, nx, ny, nz), voxel units."""
+    """Dense per-voxel displacement, shape (3, nx, ny, nz), voxel units, and
+    the squaring steps :func:`integrate_svf` used (``None`` if not integrated)."""
 
     displacement: np.ndarray
+    steps: int | None = None
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -152,7 +154,8 @@ def integrate_svf(velocity: np.ndarray, steps: int = DEFAULT_SQUARING_STEPS) -> 
     `steps` times; `steps` is raised automatically until the initial
     displacement is below half a voxel, which keeps every composition well
     inside the grid's resolution and the result free of foldings. A
-    non-finite velocity raises ``ValueError``.
+    non-finite velocity raises ``ValueError``. The squaring runs in float32
+    and the returned displacement is C-contiguous float32 on every path.
 
     The field being squared lives in an edge-padded buffer (see
     :func:`_self_compose`). The velocity is not referenced once it is scaled
@@ -162,7 +165,7 @@ def integrate_svf(velocity: np.ndarray, steps: int = DEFAULT_SQUARING_STEPS) -> 
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    velocity = np.asarray(velocity, dtype=np.float64)
+    velocity = np.asarray(velocity)
     if velocity.ndim != 4 or velocity.shape[0] != 3:
         raise ValueError(f"velocity must have shape (3, nx, ny, nz), got {velocity.shape}")
     max_disp = float(max(velocity.max(), -velocity.min()))
@@ -170,10 +173,10 @@ def integrate_svf(velocity: np.ndarray, steps: int = DEFAULT_SQUARING_STEPS) -> 
         raise ValueError(f"velocity must be finite, got a largest magnitude of {max_disp}")
     steps = _squaring_steps(max_disp, steps)
     if max_disp == 0.0:
-        return DeformationField(np.divide(velocity, 2.0**steps, order="C"))
+        return DeformationField(np.divide(velocity, 2.0**steps, order="C", dtype=np.float32), steps)
 
     shape = velocity.shape
-    padded = np.empty((3,) + tuple(n + 2 for n in shape[1:]))
+    padded = np.empty((3,) + tuple(n + 2 for n in shape[1:]), dtype=np.float32)
     np.divide(velocity, 2.0**steps, out=padded[:, 1:-1, 1:-1, 1:-1])
     del velocity
     _pad_faces(padded)
@@ -183,9 +186,9 @@ def integrate_svf(velocity: np.ndarray, steps: int = DEFAULT_SQUARING_STEPS) -> 
         _pad_faces(stepped)
         padded, stepped = stepped, padded  # reuse the old buffer next iteration
     del stepped
-    disp = np.empty(shape)
+    disp = np.empty(shape, dtype=np.float32)
     _self_compose(padded, disp)
-    return DeformationField(disp)
+    return DeformationField(disp, steps)
 
 
 def _pad_faces(padded: np.ndarray) -> None:
@@ -213,11 +216,13 @@ def _self_compose(padded: np.ndarray, out: np.ndarray) -> None:
     for bit, because it does scipy's arithmetic in scipy's order: weights
     ``w0 = 1 - x`` and ``w1 = 1 - w0`` from the unclamped coordinate, corners
     clamped to the grid, and a sum from +0.0 over the 8 corner terms
-    ``((v * wx) * wy) * wz`` with the last axis fastest. The padding makes the
-    clamp one clip of the floor to ``[-1, n-1]``: a padded voxel replicates
-    the clamped one, so each voxel needs one base index (a float dot of the
-    floor with the padded strides, exact for integers) and every corner is
-    that base plus a constant. The kernel walks blocks of interior z-rows,
+    ``((v * wx) * wy) * wz`` with the last axis fastest. The values are
+    computed in the padded buffer's dtype (float32 when squaring), so the
+    result equals scipy's bit for bit on a float64 buffer. The padding makes
+    the clamp one clip of the floor to ``[-1, n-1]``: a padded voxel
+    replicates the clamped one, so each voxel needs one base index (a float
+    dot of the floor with the padded strides) and every corner is that base
+    plus a constant. The kernel walks blocks of interior z-rows,
     one x-plane times a run of y-rows, about `_BLOCK` voxels each, so that the
     8 gathers of all three components stay in cache.
     """
@@ -226,9 +231,12 @@ def _self_compose(padded: np.ndarray, out: np.ndarray) -> None:
     nx, ny, nz = (n - 2 for n in padded.shape[1:])
     src = padded.reshape(3, -1)
     sx, sy = (ny + 2) * (nz + 2), nz + 2
-    y_col = np.arange(ny, dtype=np.float64).reshape(ny, 1)
-    z_row = np.arange(nz, dtype=np.float64)
-    last = np.array([nx, ny, nz], dtype=np.float64).reshape(3, 1) - 1.0
+    dtype = padded.dtype
+    y_col = np.arange(ny, dtype=dtype).reshape(ny, 1)
+    z_row = np.arange(nz, dtype=dtype)
+    last = np.array([nx, ny, nz], dtype=dtype).reshape(3, 1) - 1.0
+    # the base index stays float64: a float32 dot is exact only below 2**24
+    # padded voxels, and a 256^3 crop pads to 258^3 = 17.2 M
     strides = np.array([sx, sy, 1], dtype=np.float64)
     # padded index of (floor + 1) per axis, plus the corner's 0/1 step per axis
     offsets = [(k >> 2) * sx + ((k >> 1) & 1) * sy + (k & 1) + sx + sy + 1 for k in range(8)]
@@ -236,8 +244,8 @@ def _self_compose(padded: np.ndarray, out: np.ndarray) -> None:
     for x, y0, y1 in _blocks((nx, ny, nz)):
         if (y1 - y0) * nz != width:  # the first block, or a plane's shorter last one
             width = (y1 - y0) * nz
-            coord, floor, value, acc = np.empty((4, 3, width))
-            weights = np.empty((2, 3, width))  # [w0, w1] per axis
+            coord, floor, value, acc = np.empty((4, 3, width), dtype=dtype)
+            weights = np.empty((2, 3, width), dtype=dtype)  # [w0, w1] per axis
             base_f = np.empty(width)
             base, corner = np.empty((2, width), dtype=np.intp)
         disp = padded[:, x + 1, y0 + 1 : y1 + 1, 1:-1]

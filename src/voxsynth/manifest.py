@@ -15,9 +15,13 @@ from pathlib import Path
 
 from .nifti import replaced_atomically
 
-__all__ = ["SampleManifest", "MANIFEST_FORMAT"]
+__all__ = ["SampleManifest", "ManifestFormatError", "MANIFEST_FORMAT"]
 
-MANIFEST_FORMAT = "voxsynth-manifest-v1"
+MANIFEST_FORMAT = "voxsynth-manifest-v2"
+
+
+class ManifestFormatError(ValueError):
+    """A manifest that is a JSON object of another format."""
 
 
 @dataclass
@@ -35,6 +39,8 @@ class SampleManifest:
     lesions_kept: bool = True
     affine: dict = field(default_factory=dict)
     svf_std: float = 0.0
+    squaring_steps: int = 0  # the steps and dtype integrate_svf actually used
+    integration_dtype: str = ""
     gmm_means: dict = field(default_factory=dict)
     gmm_stds: dict = field(default_factory=dict)
     bias_std: float = 0.0
@@ -53,7 +59,7 @@ class SampleManifest:
             raise ValueError(f"manifest must be a JSON object, got {type(payload).__name__}")
         fmt = payload.get("format")
         if fmt != MANIFEST_FORMAT:
-            raise ValueError(f"unsupported manifest format {fmt!r}")
+            raise ManifestFormatError(f"manifest format {fmt!r} is not {MANIFEST_FORMAT!r}")
         if not isinstance(payload.get("config"), dict):
             raise ValueError("manifest config must be a JSON object")
         try:

@@ -26,7 +26,7 @@ from .deform import integrate_svf, sample_affine, sample_svf, upsample_svf, warp
 # not called here; kept bound because perfbench's traced runs wrap each deform
 # step under the name `generate_sample` looks it up by
 from .deform import compose_transforms  # noqa: F401
-from .manifest import SampleManifest
+from .manifest import ManifestFormatError, SampleManifest
 from .nifti import read_nifti, write_nifti
 from .schema import LabelSchema, SchemaError, load_schema
 from .volume import Volume, crop_at, draw_crop_offset, flip_lr, resample
@@ -182,7 +182,11 @@ def generate_sample(
         manifest.svf_std = svf.std
         # nested so the velocity is freed inside integrate_svf, once it is
         # scaled into the squaring buffer; the pull builds no composed field
-        labels = warp_labels(labels, matrix, integrate_svf(upsample_svf(svf, labels.dims)))
+        nonlin = integrate_svf(upsample_svf(svf, labels.dims))
+        manifest.squaring_steps = nonlin.steps
+        manifest.integration_dtype = str(nonlin.displacement.dtype)
+        labels = warp_labels(labels, matrix, nonlin)
+        del nonlin
 
     if not cfg.crop_first:
         crop_stage()
@@ -245,14 +249,16 @@ def _belongs_to_run(out_dir: Path, index: int, cfg: GeneratorConfig) -> bool:
 
     Only the manifest is read: it is written last, so a readable one marks a
     complete triple. An unreadable manifest means the sample is regenerated; a
-    readable one from another run (other config or seed) raises, because
-    resuming into it would mix the two runs in one directory.
+    readable one from another run (other config, seed or manifest format)
+    raises, because resuming into it would mix the two runs in one directory.
     """
     names = sample_file_names(index)
     if not all((out_dir / name).exists() for name in names):
         return False
     try:
         manifest = SampleManifest.load(out_dir / names[2])
+    except ManifestFormatError as exc:
+        raise ValueError(f"sample {index} in {out_dir}: {exc}; use a new output directory") from None
     except (OSError, ValueError) as exc:
         logger.warning("sample %d has an unreadable manifest, regenerating: %s", index, exc)
         return False

@@ -19,6 +19,7 @@ from voxsynth.deform import (
     sample_svf,
     upsample_svf,
     warp_labels,
+    _pad_faces,
     _self_compose,
 )
 from voxsynth.volume import axis_coordinates, axis_positions, nearest_indices, resize_trilinear
@@ -255,11 +256,12 @@ class TestSelfCompose:
         self.assert_same_bits(smooth_velocity(dims, rng, magnitude=4.0))
 
     def test_160_cube_field_unchanged(self):
-        # SHA-256 recorded with the map_coordinates implementation
+        # SHA-256 of the float32 field, re-recorded when squaring moved from
+        # float64 (whose digest matched the map_coordinates implementation)
         vel = upsample_svf(sample_svf(GeneratorConfig(), np.random.default_rng(4)), (160,) * 3)
         field = integrate_svf(vel).displacement
         digest = hashlib.sha256(np.ascontiguousarray(field).tobytes()).hexdigest()
-        assert digest == "5a1dea49a63c1e6c930f2b4063bef24a8940ec65a93a88eb05b41f654e3701ac"
+        assert digest == "6adea785ba91cf3a818f6ef9eeff3d178b349e10b0869f9c7a29e439ee30266e"
 
     def test_memory_order_of_the_velocity_does_not_matter(self, rng):
         vel = smooth_velocity((9, 7, 8), rng, magnitude=4.0)
@@ -276,6 +278,73 @@ class TestSelfCompose:
         padded = np.asfortranarray(np.zeros((3, 6, 7, 8)))
         with pytest.raises(ValueError, match="C-contiguous"):
             _self_compose(padded, np.empty((3, 4, 5, 6)))
+
+
+FLOAT32_TOLERANCE = 1e-4  # voxels from the float64 squaring, named before measuring
+
+
+def float64_squaring(vel, steps):
+    """integrate_svf's squaring with float64 buffers, through the same kernel
+    and padding; bit for bit the map_coordinates squaring (TestSelfCompose)."""
+    padded = np.empty((3,) + tuple(n + 2 for n in vel.shape[1:]))
+    padded[:, 1:-1, 1:-1, 1:-1] = vel / 2.0**steps
+    _pad_faces(padded)
+    stepped = np.empty_like(padded)
+    for _ in range(steps - 1):
+        _self_compose(padded, stepped[:, 1:-1, 1:-1, 1:-1])
+        _pad_faces(stepped)
+        padded, stepped = stepped, padded
+    out = np.empty(vel.shape)
+    _self_compose(padded, out)
+    return out
+
+
+class TestFloat32Squaring:
+    def assert_within_tolerance(self, vel):
+        field = integrate_svf(vel)
+        reference = float64_squaring(vel, field.steps)
+        assert field.steps == 7
+        for c in range(3):
+            assert np.abs(field.displacement[c] - reference[c]).max() <= FLOAT32_TOLERANCE
+
+    def test_160_cube_default_prior_field(self):
+        self.assert_within_tolerance(
+            upsample_svf(sample_svf(GeneratorConfig(), np.random.default_rng(4)), (160,) * 3)
+        )
+
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_largest_default_prior_std(self, seed):
+        cfg = GeneratorConfig()
+        svf = sample_svf(cfg, np.random.default_rng(seed))
+        vel = upsample_svf(SVF(svf.grid * (cfg.warp_std_max / svf.std), cfg.warp_std_max), (64,) * 3)
+        assert np.abs(vel).max() > 10.0
+        self.assert_within_tolerance(vel)
+
+    @pytest.mark.parametrize("path", ["zero", "constant", "general"])
+    def test_returns_c_contiguous_float32(self, rng, path):
+        vel = {
+            "zero": np.zeros((3, 6, 7, 8)),
+            "constant": np.full((3, 6, 7, 8), 0.375),
+            "general": smooth_velocity((6, 7, 8), rng, magnitude=3.0),
+        }[path]
+        disp = integrate_svf(vel).displacement
+        assert disp.dtype == np.float32 and disp.flags.c_contiguous
+
+    def test_float32_velocity_is_squared_as_given(self, rng):
+        dims = (64, 64, 64)
+        vel = smooth_velocity(dims, rng, magnitude=4.0).astype(np.float32)
+        expected = integrate_svf(vel.astype(np.float64)).displacement.tobytes()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            field = integrate_svf(vel)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert field.displacement.tobytes() == expected
+        # two padded float32 buffers (2 x 1.095 velocities at 64^3) and the
+        # block scratch; a float64 copy of the velocity would add two more
+        assert peak < 2.75 * vel.nbytes
 
 
 class TestCompose:
@@ -446,7 +515,8 @@ def test_no_memory_is_held_beyond_the_results(rng):
 
 def test_deform_stage_holds_at_most_two_fields(rng):
     # upsample, integrate and pull as generate_sample nests them: the velocity
-    # is freed once scaled, and the pull builds no composed field
+    # is freed once scaled, the two squaring buffers and the result are
+    # float32, and the pull builds no composed field
     dims = (96, 96, 96)
     labels = make_labels(rng.integers(0, 60, dims))
     svf = SVF(rng.standard_normal((10, 10, 10, 3)) * 3.0, 3.0)
@@ -460,4 +530,4 @@ def test_deform_stage_holds_at_most_two_fields(rng):
     finally:
         tracemalloc.stop()
     assert out.dims == dims
-    assert peak < 2.5 * field_bytes
+    assert peak < 1.75 * field_bytes

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from voxsynth import deform
 from voxsynth.config import GeneratorConfig
-from voxsynth.manifest import SampleManifest
+from voxsynth.manifest import MANIFEST_FORMAT, SampleManifest
 from voxsynth.nifti import read_nifti, write_nifti
 from voxsynth.phantom import demo_phantom
 from voxsynth.pipeline import (
@@ -316,26 +318,46 @@ class TestGenerateBatch:
             for name, blob in originals.items():
                 assert (out / name).read_bytes() == blob
 
+    def test_resume_refuses_another_manifest_format(self, tmp_path, fast_cfg):
+        # resuming a shorter batch into an older directory would leave both
+        # formats side by side, so the first old manifest stops the batch
+        maps = [demo_phantom(24)]
+        out = tmp_path / "out"
+        generate_batch(maps, fast_cfg, 2, out)
+        for i in range(2):
+            path = out / sample_file_names(i)[2]
+            payload = json.loads(path.read_text())
+            del payload["squaring_steps"], payload["integration_dtype"]
+            payload["format"] = "voxsynth-manifest-v1"
+            path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        message = rf"sample 0 .*'voxsynth-manifest-v1' .*'{MANIFEST_FORMAT}'.*new output directory"
+        with pytest.raises(ValueError, match=message):
+            generate_batch(maps, fast_cfg, 1, out)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     # Two SHA-256 digests per case over samples 0-7: one over the decoded image
     # and target arrays (dtype, shape, bytes), one over the manifest text, so a
     # change to either is told apart. Both were recorded on the source just
     # before the digest was split; the combined digest they replace was
     # recorded before the blocked squaring kernel replaced map_coordinates.
+    # The manifest digests were re-recorded for manifest v2, which adds the
+    # squaring steps and the integration dtype; the array digests held.
     GOLDEN = {
         "default": (
             {},
             "d341b926d56d8f56980b0ab33f489ac013ca1ce57961df315af3cf6427dc13aa",
-            "3cebd70925d0dc71830accdc1ed10566193fe500f42623407ac3790b9e0f5099",
+            "4d07d5d278c2e97e68fcb5870170636f7d4f14a84d7481a07d5022b17bdc93e9",
         ),
         "crop_after_warp": (
             {"crop_first": False},
             "2af138a8ec5ff9e56cdda3ad1d88363c8a9220a532f3439d46cce33a9b86df9e",
-            "3e2a8fbf046ea7d5aa0e5ebf1ea5eb2f06ef29eacea373d4c67f6396849912f0",
+            "eee0afa53e5432a67fe03dfcd6574778853278d8c155376e7f8c99acc8d2c4a1",
         ),
         "isotropic_lr": (
             {"isotropic_lr": True},
             "27cf19b422d19b277b2d3e9a054374c6ffa1b7fac953b74481e8432e6e3a3f46",
-            "12799d2684285d843395b6839d43288e3b36612506de055951d41683520686d7",
+            "3715eab75843f52b932a1144c81c5c9894b587418cc4e97a8de216f8364eab1f",
         ),
     }
 
@@ -371,6 +393,19 @@ class TestReplay:
             stored_target = read_nifti(out / target_name)
             assert np.array_equal(pair.image.data.astype(np.float32), stored_image.data)
             assert np.array_equal(pair.target.data, stored_target.data)
+
+    def test_replay_detects_integration_drift(self, fast_cfg, monkeypatch):
+        # sample 1's velocity needs an eighth step under a 0.05-voxel first
+        # step; every random draw stays the same, only the recorded steps move
+        maps = [demo_phantom(24)]
+        manifest = generate_sample(maps, fast_cfg, 1).manifest
+        assert (manifest.squaring_steps, manifest.integration_dtype) == (7, "float32")
+        monkeypatch.setattr(deform, "MAX_STEP_DISPLACEMENT", 0.05)
+        drifted = generate_sample(maps, fast_cfg, 1).manifest
+        assert drifted.squaring_steps == 8
+        assert dataclasses.replace(drifted, squaring_steps=7) == manifest
+        with pytest.raises(PipelineError, match="diverged"):
+            replay_manifest(manifest, maps)
 
     def test_replay_with_wrong_maps_is_detected(self, fast_cfg):
         pair = generate_sample([demo_phantom(24)], fast_cfg, 0)
