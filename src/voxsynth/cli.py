@@ -8,6 +8,7 @@ The environment variable ``VOXSYNTH_CONFIG`` supplies a default --config path.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import logging
 import os
@@ -103,7 +104,7 @@ def _load_cfg(path_arg):
 def _cmd_generate(args) -> int:
     cfg = _load_cfg(args.config)
     if args.seed is not None:
-        cfg = cfg.with_overrides(seed=args.seed)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.maps == "demo":
         maps, map_ids = [phantom.demo_phantom()], ["demo-phantom"]
     else:
@@ -124,7 +125,7 @@ def _cmd_generate(args) -> int:
 def _cmd_preprocess(args) -> int:
     cfg = _load_cfg(args.config)
     if args.resolution is not None:
-        cfg = cfg.with_overrides(hr_spacing=args.resolution)
+        cfg = dataclasses.replace(cfg, hr_spacing=args.resolution)
     scan = nifti.read_nifti(args.input)
     nifti.write_nifti(pipeline.preprocess_for_inference(scan, cfg), args.out)
     logger.info("preprocessed %s -> %s at %.3g mm", args.input, args.out, cfg.hr_spacing)

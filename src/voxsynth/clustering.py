@@ -29,6 +29,7 @@ _STD_FLOOR_ABS = 1e-12
 _HALF_LOG_2PI = 0.5 * np.log(2 * np.pi)
 _BLOCK = 8192  # samples per E-step block; keeps its (k, block) temporaries in cache
 _BINS = 4000  # bins per region: 4 per std floor, so a bin is at most a quarter of it
+_TOL = 1e-7  # EM stops when the binned objective improves by less than this
 
 
 @dataclass(frozen=True)
@@ -43,23 +44,13 @@ class Gmm1D:
     log_likelihoods: tuple[float, ...]
     log_likelihood: float
 
-    def log_responsibilities(self, x: np.ndarray) -> np.ndarray:
-        """Unnormalised per-component log posteriors, shape (k, len(x))."""
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty((self.means.size, x.size))
-        return _log_density(x, self.weights, self.means, self.stds, out)
-
     def assign(self, x: np.ndarray) -> np.ndarray:
         """Hard assignment of each sample to its most responsible component,
         taken block by block so no (k, len(x)) array is built."""
         x = np.asarray(x, dtype=np.float64)
-        k, n = self.means.size, x.size
-        out = np.empty(n, dtype=np.intp)
-        scratch = np.empty(k * min(n, _BLOCK))
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            block = scratch[: k * (stop - start)].reshape(k, -1)
-            _log_density(x[start:stop], self.weights, self.means, self.stds, block).argmax(axis=0, out=out[start:stop])
+        out = np.empty(x.size, dtype=np.intp)
+        for start, stop, lr in _density_blocks(x, self.weights, self.means, self.stds):
+            lr.argmax(axis=0, out=out[start:stop])
         return out
 
 
@@ -78,38 +69,33 @@ def _log_density(x: np.ndarray, weights, means, stds, out: np.ndarray) -> np.nda
     return out
 
 
-def _e_step(x: np.ndarray, weights, means, stds, resp: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Log-likelihood of the samples and their normalised responsibilities,
-    written into `resp` (k, len(x)) when given."""
-    if resp is None:
-        resp = np.empty((means.size, x.size))
-    return _sample_log_likelihood(x, weights, means, stds, resp), resp
-
-
-def _sample_log_likelihood(x: np.ndarray, weights, means, stds, resp: np.ndarray | None = None) -> float:
-    """Exact log-likelihood of the samples; with `resp` (k, len(x)) given,
-    their normalised responsibilities are written into it.
-
-    The log-density, its column max `peak`, ``exp(lr - peak)`` and the
-    normalisation run on blocks of `_BLOCK` samples in one small buffer, so
-    without `resp` no (k, n) array is held; every value is the one the
-    whole-array arithmetic gives. The log-likelihood ``sum(peak + log(total))``
-    is summed over the whole arrays, in the whole-array order.
-    """
+def _density_blocks(x: np.ndarray, weights, means, stds):
+    """Yield ``(start, stop, lr)`` for blocks of `_BLOCK` samples, `lr` the
+    (k, stop - start) :func:`_log_density` of ``x[start:stop]`` in one small
+    buffer that the next block overwrites, so no (k, len(x)) array is held."""
     k, n = means.size, x.size
-    peak = np.empty(n)
-    total = np.empty(n)
     scratch = np.empty(k * min(n, _BLOCK))
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        lr = _log_density(x[start:stop], weights, means, stds, scratch[: k * (stop - start)].reshape(k, -1))
+        block = scratch[: k * (stop - start)].reshape(k, -1)
+        yield start, stop, _log_density(x[start:stop], weights, means, stds, block)
+
+
+def _sample_log_likelihood(x: np.ndarray, weights, means, stds) -> float:
+    """Exact log-likelihood of the samples.
+
+    The column max `peak` of each block's log-density and the sum `total` of
+    ``exp(lr - peak)`` are the values the whole-array arithmetic gives; the
+    log-likelihood ``sum(peak + log(total))`` is summed over the whole
+    arrays, in the whole-array order.
+    """
+    peak = np.empty(x.size)
+    total = np.empty(x.size)
+    for start, stop, lr in _density_blocks(x, weights, means, stds):
         lr.max(axis=0, out=peak[start:stop])
         lr -= peak[start:stop]
-        block = lr if resp is None else resp[:, start:stop]
-        np.exp(lr, out=block)
-        block.sum(axis=0, out=total[start:stop])
-        if resp is not None:
-            block /= total[start:stop]
+        np.exp(lr, out=lr)
+        lr.sum(axis=0, out=total[start:stop])
     np.log(total, out=total)
     total += peak  # the same bits as peak + log(total), without a third array
     return float(np.sum(total))
@@ -158,7 +144,7 @@ def _binned_e_step(counts, bin_means, half_spread, weights, means, stds, resp: n
     return float(counts @ (peak + np.log(total)))
 
 
-def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D:
+def em_fit_1d(samples, k: int, max_iters: int = 200) -> Gmm1D:
     """Fit a k-component 1-D Gaussian mixture by expectation-maximisation.
 
     The samples are binned once into `_BINS` equal bins over their range,
@@ -166,7 +152,7 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
     the bins, with the samples of a bin sharing their responsibilities.
     Means start at evenly spaced sample quantiles (the (i + 0.5)/k levels), so
     the fit is deterministic. Iteration stops when the binned objective
-    improves by less than `tol` or after `max_iters` passes; its trace is
+    improves by less than `_TOL` or after `max_iters` passes; its trace is
     non-decreasing. One exact pass over the samples gives the returned
     log-likelihood. Component collapse is prevented by flooring stds at a
     small fraction of the sample range rather than failing. Non-finite
@@ -217,7 +203,7 @@ def em_fit_1d(samples, k: int, max_iters: int = 200, tol: float = 1e-7) -> Gmm1D
     resp = np.empty((k, counts.size))
     for _ in range(max_iters):
         trace.append(_binned_e_step(counts, bin_means, half_spread, weights, means, stds, resp))
-        if len(trace) > 1 and trace[-1] - trace[-2] < tol:
+        if len(trace) > 1 and trace[-1] - trace[-2] < _TOL:
             break
 
         members = resp * counts  # expected samples of each component per bin
@@ -257,13 +243,14 @@ def subdivide_labels(
     labels: Volume,
     fg_k: int = 2,
     bg_k_range: tuple[int, int] = (3, 10),
-    rng=None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[Volume, dict[int, int]]:
     """Split every label into intensity clusters of the co-registered image.
 
     Each foreground label is divided into `fg_k` clusters; the background is
     divided into N clusters with N drawn uniformly from `bg_k_range`
-    (inclusive). Sub-labels are numbered parent * 1000 + index, and the
+    (inclusive) by `rng`. Sub-labels are numbered parent * 1000 + index, and the
     returned mapping sends every sub-label back to its parent, so the original
     map is recoverable bit-exactly. Regions smaller than their cluster count
     are left unsplit with a warning.
@@ -272,8 +259,6 @@ def subdivide_labels(
         raise ValueError(f"image dims {image.dims} do not match labels dims {labels.dims}")
     if not labels.is_labels:
         raise ValueError("subdivide_labels needs an integer label volume")
-    if rng is None:
-        rng = np.random.default_rng()
 
     lo, hi = (int(v) for v in bg_k_range)
     if not (1 <= lo <= hi):

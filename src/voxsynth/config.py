@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -59,9 +59,6 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -95,9 +92,6 @@ class GeneratorConfig:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def with_overrides(self, **kwargs) -> "GeneratorConfig":
-        return replace(self, **kwargs)
 
 
 _FIELD_TYPES = typing.get_type_hints(GeneratorConfig)

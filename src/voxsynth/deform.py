@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 SVF_GRID_SHAPE = (10, 10, 10, 3)
-DEFAULT_SQUARING_STEPS = 7
+SQUARING_STEPS = 7
 MAX_STEP_DISPLACEMENT = 0.5  # voxels; squaring depth is raised until satisfied
 _BLOCK = 8192  # voxels per block of the squaring kernel and the pull; keeps their buffers in cache
 
@@ -120,8 +120,6 @@ def sample_affine(cfg, rng, dims, spacing=(1.0, 1.0, 1.0)):
 def sample_svf(cfg, rng) -> SVF:
     """Coarse velocity grid: std drawn from U(0, warp_std_max), then i.i.d.
     zero-mean Gaussian values at every control point."""
-    if cfg.warp_std_max < 0:
-        raise ValueError(f"warp_std_max must be >= 0, got {cfg.warp_std_max}")
     std = float(rng.uniform(0.0, cfg.warp_std_max))
     grid = rng.standard_normal(SVF_GRID_SHAPE) * std
     return SVF(grid=grid, std=std)
@@ -141,21 +139,23 @@ def upsample_svf(svf: SVF, target_dims) -> np.ndarray:
     return out
 
 
-def _squaring_steps(max_disp: float, steps: int) -> int:
+def _squaring_steps(max_disp: float) -> int:
+    steps = SQUARING_STEPS
     while max_disp / (2.0**steps) >= MAX_STEP_DISPLACEMENT:
         steps += 1
     return steps
 
 
-def integrate_svf(velocity: np.ndarray, steps: int = DEFAULT_SQUARING_STEPS) -> DeformationField:
+def integrate_svf(velocity: np.ndarray) -> DeformationField:
     """Exponentiate a stationary velocity field by scaling and squaring.
 
     The field is scaled down to ``velocity / 2**steps`` and self-composed
-    `steps` times; `steps` is raised automatically until the initial
-    displacement is below half a voxel, which keeps every composition well
-    inside the grid's resolution and the result free of foldings. A
-    non-finite velocity raises ``ValueError``. The squaring runs in float32
-    and the returned displacement is C-contiguous float32 on every path.
+    `steps` times; `steps` starts at `SQUARING_STEPS` and is raised until
+    the initial displacement is below half a voxel, which keeps every
+    composition well inside the grid's resolution and the result free of
+    foldings. A non-finite velocity raises ``ValueError``. The squaring runs
+    in float32 and the returned displacement is C-contiguous float32 on
+    every path.
 
     The field being squared lives in an edge-padded buffer (see
     :func:`_self_compose`). The velocity is not referenced once it is scaled
@@ -163,15 +163,13 @@ def integrate_svf(velocity: np.ndarray, steps: int = DEFAULT_SQUARING_STEPS) -> 
     the last step writes the plain C-contiguous result, and no padded buffer
     outlives the call.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     velocity = np.asarray(velocity)
     if velocity.ndim != 4 or velocity.shape[0] != 3:
         raise ValueError(f"velocity must have shape (3, nx, ny, nz), got {velocity.shape}")
     max_disp = float(max(velocity.max(), -velocity.min()))
     if not np.isfinite(max_disp):
         raise ValueError(f"velocity must be finite, got a largest magnitude of {max_disp}")
-    steps = _squaring_steps(max_disp, steps)
+    steps = _squaring_steps(max_disp)
     if max_disp == 0.0:
         return DeformationField(np.divide(velocity, 2.0**steps, order="C", dtype=np.float32), steps)
 

@@ -147,18 +147,13 @@ def sd95(a: Volume, b: Volume, label: int, spacing=None) -> float:
     return float(np.percentile(pooled, 95))
 
 
-def soft_volume(prob: Volume, spacing=None) -> float:
+def soft_volume(prob: Volume) -> float:
     """Expected structure volume in cubic millimetres: sum of the soft map
     times the voxel volume."""
     data = np.asarray(prob.data, dtype=np.float64)
     if data.min() < 0 or data.max() > 1:
         raise ValueError("soft map values must lie in [0, 1]")
-    if spacing is None:
-        voxel = prob.voxel_volume
-    else:
-        sx, sy, sz = (float(s) for s in spacing)
-        voxel = sx * sy * sz
-    return float(data.sum() * voxel)
+    return float(data.sum() * prob.voxel_volume)
 
 
 def cohens_d(group_a, group_b) -> float:

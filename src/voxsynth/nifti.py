@@ -126,8 +126,8 @@ def read_nifti(path) -> Volume:
     srow_z = struct.unpack_from(order + "4f", raw, 312)
 
     spacing = tuple(float(p) for p in pixdim[1:4])
-    if any(s <= 0 for s in spacing):
-        raise ValueError(f"non-positive pixdim {spacing}")
+    if not all(0 < s < math.inf for s in spacing):
+        raise ValueError(f"pixdim spacing {spacing} must be positive and finite")
 
     if sform_code > 0:
         affine = np.array([srow_x, srow_y, srow_z, [0.0, 0.0, 0.0, 1.0]], dtype=np.float64)
@@ -145,6 +145,8 @@ def read_nifti(path) -> Volume:
         )
     dtype = _DTYPE_FOR_CODE[datatype].newbyteorder(order)
     count = int(np.prod(dims))
+    if not math.isfinite(vox_offset):
+        raise ValueError(f"vox_offset {vox_offset} must be finite")
     start = int(vox_offset)
     if start < HEADER_SIZE:
         start = VOX_OFFSET

@@ -56,10 +56,6 @@ class ResolutionParams:
 def sample_resolution(cfg, rng) -> ResolutionParams:
     """Uniform slice axis; spacing ~ U(native, spacing_max); thickness
     ~ U(native, spacing) since slices very rarely overlap; alpha uniform."""
-    if cfg.spacing_max < cfg.hr_spacing:
-        raise ValueError(
-            f"spacing_max={cfg.spacing_max} must be >= hr_spacing={cfg.hr_spacing}"
-        )
     axis = int(rng.integers(0, 3))
     spacing = float(rng.uniform(cfg.hr_spacing, cfg.spacing_max))
     thickness = float(rng.uniform(cfg.hr_spacing, spacing))

@@ -53,8 +53,8 @@ class Volume:
         if min(arr.shape) < 1:
             raise ValueError(f"volume dims must be >= 1, got {arr.shape}")
         spacing = tuple(float(s) for s in spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be three positive values, got {spacing}")
+        if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):
+            raise ValueError(f"spacing must be three positive finite values, got {spacing}")
         if affine is None:
             affine = np.diag([spacing[0], spacing[1], spacing[2], 1.0])
         affine = np.asarray(affine, dtype=np.float64)
@@ -103,13 +103,9 @@ class Volume:
         sx, sy, sz = self._spacing
         return sx * sy * sz
 
-    def with_data(self, data, spacing=None, affine=None) -> "Volume":
-        """New volume with replaced data, keeping geometry unless overridden."""
-        return Volume(
-            data,
-            self._spacing if spacing is None else spacing,
-            self._affine if affine is None else affine,
-        )
+    def with_data(self, data) -> "Volume":
+        """New volume with replaced data and the same geometry."""
+        return Volume(data, self._spacing, self._affine)
 
     def astype(self, dtype) -> "Volume":
         return self.with_data(self._data.astype(dtype))
@@ -235,8 +231,8 @@ def resample(v: Volume, target_spacing, mode: str = "trilinear") -> Volume:
     edge voxel. Label volumes require ``mode="nearest"``.
     """
     target_spacing = tuple(float(t) for t in target_spacing)
-    if any(t <= 0 for t in target_spacing):
-        raise ValueError(f"target spacing must be positive, got {target_spacing}")
+    if not all(0 < t < np.inf for t in target_spacing):
+        raise ValueError(f"target spacing must be positive and finite, got {target_spacing}")
     if mode not in ("trilinear", "nearest"):
         raise ValueError(f"unknown resampling mode {mode!r}")
     if mode == "trilinear" and v.is_labels:

@@ -8,7 +8,6 @@ from voxsynth.clustering import (
     _BINS,
     _BLOCK,
     _bin_statistics,
-    _e_step,
     apply_parent_mapping,
     em_fit_1d,
     subdivide_labels,
@@ -26,8 +25,9 @@ def whole_log_resp(x, weights, means, stds):
     return log_pdf + np.log(weights[:, None])
 
 
-def whole_e_step(x, weights, means, stds, resp=None):
-    """The E-step on whole (k, n) arrays, with `_e_step`'s signature."""
+def whole_e_step(x, weights, means, stds):
+    """The E-step on whole (k, n) arrays: the log-likelihood of the samples
+    and their normalised responsibilities."""
     log_resp = whole_log_resp(x, weights, means, stds)
     peak = log_resp.max(axis=0)
     resp = np.exp(log_resp - peak)
@@ -81,10 +81,12 @@ def mixture(rng, n):
     return np.choose(rng.integers(0, 3, n), comps)
 
 
-def assert_same_fit(a, b):
-    assert a.log_likelihoods == b.log_likelihoods
-    for got, expected in ((a.weights, b.weights), (a.means, b.means), (a.stds, b.stds)):
-        assert got.tobytes() == expected.tobytes()
+def assert_blocked_equals_whole(x, gmm):
+    """The fit's blocked log-likelihood and hard assignment keep the bits of
+    the whole-array arithmetic."""
+    params = (gmm.weights, gmm.means, gmm.stds)
+    assert gmm.log_likelihood == whole_e_step(x, *params)[0]
+    assert np.array_equal(gmm.assign(x), whole_log_resp(x, *params).argmax(axis=0))
 
 
 class TestEmFit:
@@ -123,7 +125,7 @@ class TestEmFit:
         exhausted = em_fit_1d(x, k=3, max_iters=3)
         assert len(converged.log_likelihoods) < 200 and len(exhausted.log_likelihoods) == 4
         for gmm in (converged, exhausted):
-            assert gmm.log_likelihood == _e_step(x, gmm.weights, gmm.means, gmm.stds)[0]
+            assert gmm.log_likelihood == whole_e_step(x, gmm.weights, gmm.means, gmm.stds)[0]
 
     def test_weights_sum_to_one(self, rng):
         gmm = em_fit_1d(rng.uniform(0, 1, 200), k=4)
@@ -150,8 +152,8 @@ class TestEmFit:
 
 
 class TestBlockedEStep:
-    """The E-step runs on blocks of `_BLOCK` samples; every fit and every
-    responsibility must keep the bits of the whole-array arithmetic."""
+    """The exact log-likelihood and the hard assignment run on blocks of
+    `_BLOCK` samples; both must keep the bits of the whole-array arithmetic."""
 
     @pytest.mark.parametrize(
         "block, n",
@@ -162,18 +164,7 @@ class TestBlockedEStep:
             monkeypatch.setattr(clustering, "_BLOCK", block)
         x = mixture(rng, n)
         for k in (1, 2, 3):
-            blocked = em_fit_1d(x, k)
-            with monkeypatch.context() as patch:
-                patch.setattr(clustering, "_e_step", whole_e_step)
-                whole = em_fit_1d(x, k)
-            assert_same_fit(blocked, whole)
-            log_likelihood, resp = _e_step(x, blocked.weights, blocked.means, blocked.stds)
-            expected = whole_e_step(x, blocked.weights, blocked.means, blocked.stds)
-            assert log_likelihood == expected[0]
-            assert resp.tobytes() == expected[1].tobytes()
-            assert blocked.log_responsibilities(x).tobytes() == whole_log_resp(
-                x, blocked.weights, blocked.means, blocked.stds
-            ).tobytes()
+            assert_blocked_equals_whole(x, em_fit_1d(x, k))
 
     @pytest.mark.parametrize("block", [1, 7, None])
     def test_starved_component_and_constant_samples(self, rng, monkeypatch, block):
@@ -183,11 +174,7 @@ class TestBlockedEStep:
         # its component gets no responsibility and keeps its mean
         gap = np.concatenate([rng.normal(0.0, 1.0, 500), rng.normal(100.0, 1.0, 500)])
         for x, k in ((gap, 3), (np.full(50, 3.0), 2)):
-            blocked = em_fit_1d(x, k)
-            with monkeypatch.context() as patch:
-                patch.setattr(clustering, "_e_step", whole_e_step)
-                whole = em_fit_1d(x, k)
-            assert_same_fit(blocked, whole)
+            assert_blocked_equals_whole(x, em_fit_1d(x, k))
         starved = em_fit_1d(gap, 3)
         assert 10.0 < starved.means[1] < 90.0
         assert starved.stds[1] == 1e-3 * (gap.max() - gap.min())
@@ -216,7 +203,7 @@ class TestBinnedFit:
         lo, hi = float(x.min()), float(x.max())
         assert _bin_statistics(x, lo, hi - lo)[0].sum() == x.size
         binned = em_fit_1d(x, k)
-        assert binned.log_likelihood == _e_step(x, binned.weights, binned.means, binned.stds)[0]
+        assert binned.log_likelihood == whole_e_step(x, binned.weights, binned.means, binned.stds)[0]
         reference = whole_e_step(x, *per_sample_em_fit(x, k))[0]
         assert binned.log_likelihood / x.size >= reference / x.size - self.TOLERANCE
         # the binned objective is a lower bound on the exact likelihood

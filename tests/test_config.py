@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from voxsynth.config import ConfigError, GeneratorConfig, load_config, parse_config_text
@@ -103,6 +105,16 @@ def test_resolved_config_is_echoed(tmp_path, caplog):
 def test_validation_on_direct_construction():
     with pytest.raises(ConfigError):
         GeneratorConfig(alpha_min=2.0, alpha_max=1.0)
+
+
+def test_replace_validates():
+    # the CLI's overrides go through dataclasses.replace, and the samplers
+    # rely on every config being validated
+    cfg = GeneratorConfig()
+    with pytest.raises(ConfigError, match="spacing_max"):
+        dataclasses.replace(cfg, hr_spacing=10.0)
+    with pytest.raises(ConfigError, match="warp_std_max"):
+        dataclasses.replace(cfg, warp_std_max=-1.0)
 
 
 def test_non_finite_values_rejected_with_key():

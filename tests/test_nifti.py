@@ -112,6 +112,28 @@ def test_nan_intercept_with_scaling_slope_rejected(tmp_path):
         read_nifti(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_pixdim_rejected(tmp_path, bad):
+    path = tmp_path / "pixdim.nii"
+    write_nifti(make_labels(np.zeros((2, 2, 2))), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 80, bad)  # pixdim[1]
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="spacing"):
+        read_nifti(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_vox_offset_rejected(tmp_path, bad):
+    path = tmp_path / "offset.nii"
+    write_nifti(make_labels(np.zeros((2, 2, 2))), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 108, bad)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="vox_offset"):
+        read_nifti(path)
+
+
 def test_unsupported_datatype_rejected(tmp_path):
     v = make_image(np.zeros((2, 2, 2)))
     path = tmp_path / "f64.nii"

@@ -296,7 +296,7 @@ class TestGenerateBatch:
         out = tmp_path / "out"
         generate_batch(maps, fast_cfg, 2, out)
         with pytest.raises(ValueError, match=r"sample 0 .*config\.seed"):
-            generate_batch(maps, fast_cfg.with_overrides(seed=2), 3, out)
+            generate_batch(maps, dataclasses.replace(fast_cfg, seed=2), 3, out)
         assert not any((out / name).exists() for name in sample_file_names(2))
         (out / sample_file_names(1)[2]).write_bytes((out / sample_file_names(0)[2]).read_bytes())
         with pytest.raises(ValueError, match=r"sample 1 .*sample_index"):

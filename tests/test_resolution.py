@@ -38,12 +38,6 @@ class TestSampleResolution:
         sigma = np.sqrt(n * (1 / 3) * (2 / 3))
         assert np.all(np.abs(counts - n / 3) < 3 * sigma)
 
-    def test_bad_bounds_rejected(self, rng):
-        cfg = GeneratorConfig()
-        object.__setattr__(cfg, "spacing_max", 0.5)  # bypass config validation
-        with pytest.raises(ValueError, match="spacing_max"):
-            sample_resolution(cfg, rng)
-
     def test_params_invariant_enforced(self):
         with pytest.raises(ValueError):
             ResolutionParams(axis=0, slice_spacing=2.0, slice_thickness=3.0, alpha=1.0, hr_spacing=1.0)

@@ -42,6 +42,9 @@ class TestVolume:
             Volume(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             Volume(np.zeros((2, 2, 2)), spacing=(1, 0, 1))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="spacing"):
+                Volume(np.zeros((2, 2, 2)), spacing=(bad, 1, 1))
         with pytest.raises(ValueError):
             Volume(np.zeros((2, 2, 2)), affine=np.eye(3))
 
@@ -133,6 +136,9 @@ class TestResample:
         v = make_image(np.zeros((3, 3, 3)))
         with pytest.raises(ValueError):
             resample(v, (1, -1, 1))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="spacing"):
+                resample(v, (1, bad, 1))
 
     def test_collapse_to_single_voxel_axis(self):
         # extreme downsampling: axis collapses to one voxel but geometry stays sane
