@@ -13,7 +13,6 @@ import difflib
 import logging
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -167,7 +166,8 @@ def _cmd_enhance_labels(args) -> int:
     nifti.write_nifti(sub, args.out)
     lines = ["sub_label,parent_label"]
     lines += [f"{s},{p}" for s, p in sorted(mapping.items())]
-    Path(args.mapping).write_text("\n".join(lines) + "\n")
+    with nifti.replaced_atomically(args.mapping) as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
     logger.info("subdivided %d parents into %d sub-labels", len(set(mapping.values())), len(mapping))
     return EXIT_OK
 

@@ -61,6 +61,11 @@ class GeneratorConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            kind = _FIELD_TYPES[f.name]
+            # a bool is an int, and an int is a valid float
+            accepted = (int, float) if kind is float else kind
+            if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+                raise ConfigError(f"{f.name}={value!r} must be of type {kind.__name__}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name}={value} must be finite")
         for lo_key, hi_key in (

@@ -69,7 +69,7 @@ class SampleManifest:
 
     def save(self, path) -> None:
         """Write the manifest through a temporary sibling renamed into place."""
-        with replaced_atomically(Path(path)) as f:
+        with replaced_atomically(path) as f:
             f.write(self.to_json().encode("utf-8"))
 
     @classmethod

@@ -185,16 +185,11 @@ def largest_cc(labels: Volume, label: int) -> Volume:
     components, count = ndimage.label(mask, structure=_STRUCT6)
     if count <= 1:
         return labels
-    flat = components.ravel()
-    sizes = np.bincount(flat)
+    sizes = np.bincount(components.ravel())
     sizes[0] = 0
-    best = sizes.max()
-    candidates = np.flatnonzero(sizes == best)
-    if len(candidates) == 1:
-        winner = candidates[0]
-    else:
-        first_index = {c: np.argmax(flat == c) for c in candidates}
-        winner = min(candidates, key=lambda c: first_index[c])
+    # components are numbered in the raster order of their first voxel, so
+    # the first maximum is the tie winner
+    winner = sizes.argmax()
     out = labels.data.copy()
     out[box][mask & (components != winner)] = 0
     return labels.with_data(out)
@@ -229,29 +224,16 @@ def fill_holes(labels: Volume, fillable) -> Volume:
         if not background.any():
             continue
         components, count = ndimage.label(background, structure=_STRUCT6)
-        if count == 0:
-            continue
-        open_ids = set()
+        # a background component is maximal, so its 6-neighbours in the box
+        # are all labelled: it is a cavity unless it reaches a face of the box
+        # or a voxel of another label
+        shut = np.ones(count + 1, dtype=bool)
+        shut[0] = False
         for axis in range(3):
-            for face in (0, -1):
-                face_slice = [slice(None)] * 3
-                face_slice[axis] = face
-                open_ids.update(np.unique(components[tuple(face_slice)]))
-        open_ids.discard(0)
-        boxes = ndimage.find_objects(components)
-        for comp_id in range(1, count + 1):
-            if comp_id in open_ids:
-                continue
-            # closed components sit strictly inside the subvolume, so the
-            # padded box around them stays in bounds
-            inner = tuple(
-                slice(s.start - 1, s.stop + 1) for s in boxes[comp_id - 1]
-            )
-            comp = components[inner] == comp_id
-            neighbours = ndimage.binary_dilation(comp, structure=_STRUCT6) & ~comp
-            if np.all(sub[inner][neighbours] == label):
-                sub[inner][comp] = label
-        out[box] = sub
+            shut[np.take(components, [0, -1], axis=axis)] = False
+        other = ndimage.binary_dilation((sub != 0) & (sub != label), structure=_STRUCT6)
+        shut[components[other]] = False
+        sub[shut[components]] = label
     return labels.with_data(out)
 
 
@@ -287,8 +269,11 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(self.to_csv_text())
+        """Write the table through a temporary sibling renamed into place."""
+        from .nifti import replaced_atomically
+
+        with replaced_atomically(path) as f:
+            f.write(self.to_csv_text().encode("utf-8"))
 
 
 def evaluate_volumes(pred: Volume, gt: Volume, schema: LabelSchema) -> MetricsReport:
@@ -317,14 +302,13 @@ def evaluate_volumes(pred: Volume, gt: Volume, schema: LabelSchema) -> MetricsRe
         box = _bbox_slices(either)
         pred_box = pred.with_data(pred.data[box])
         gt_box = gt.with_data(gt.data[box])
+        count_pred = int(np.count_nonzero(pred_box.data == label))
+        count_gt = int(np.count_nonzero(gt_box.data == label))
         dice = hard_dice(pred_box, gt_box, label)
-        try:
+        distance = None
+        if count_pred and count_gt:
             distance = sd95(pred_box, gt_box, label, spacing=gt.spacing)
-        except MissingStructureError:
-            distance = None
-        vol_pred = float((pred_box.data == label).sum()) * voxel
-        vol_gt = float((gt_box.data == label).sum()) * voxel
-        report.add(label, name, dice, distance, vol_pred, vol_gt)
+        report.add(label, name, dice, distance, count_pred * voxel, count_gt * voxel)
     return report
 
 

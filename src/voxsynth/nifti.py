@@ -242,13 +242,14 @@ def write_nifti(v: Volume, path, datatype=None) -> None:
 
 
 @contextmanager
-def replaced_atomically(path: Path):
+def replaced_atomically(path):
     """Open a temporary sibling of `path` for binary writing and rename it to
     `path` when the block succeeds; on any failure remove it instead.
 
     The sibling keeps the final suffix (``.gz`` included) and carries the
     writer's process id, so concurrent writers never share one.
     """
+    path = Path(path)
     tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
     try:
         with open(tmp, "wb") as f:

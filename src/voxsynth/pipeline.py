@@ -427,7 +427,10 @@ def replay_manifest(manifest: SampleManifest, maps, map_ids=None) -> SamplePair:
     index); the freshly recorded decisions must match the manifest, otherwise
     the inputs differ from the original run and an error is raised.
     """
-    cfg = GeneratorConfig(**manifest.config)
+    try:
+        cfg = GeneratorConfig(**manifest.config)
+    except TypeError as exc:  # a key GeneratorConfig does not have
+        raise ValueError(f"manifest config: {exc}") from exc
     pair = generate_sample(maps, cfg, manifest.sample_index, map_ids=map_ids)
     if pair.manifest != manifest:
         raise PipelineError(

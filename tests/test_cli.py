@@ -13,7 +13,7 @@ from voxsynth.nifti import read_nifti, write_nifti
 from voxsynth.phantom import demo_phantom
 from voxsynth.pipeline import sample_file_names
 
-from conftest import make_image
+from conftest import fail_writes, make_image
 
 
 @pytest.fixture
@@ -174,6 +174,23 @@ def test_enhance_labels_subcommand(tmp_path, rng):
     for sub_id, parent in pairs.items():
         lut[sub_id] = parent
     assert np.array_equal(lut[sub.data], labels.data)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "enhance-labels"])
+def test_failed_csv_write_leaves_no_csv(tmp_path, monkeypatch, rng, command):
+    labels = demo_phantom(16)
+    write_nifti(make_image(rng.uniform(0, 1, labels.dims)), tmp_path / "img.nii")
+    write_nifti(labels, tmp_path / "seg.nii")
+    seg, table = str(tmp_path / "seg.nii"), str(tmp_path / "table.csv")
+    flags = {
+        "evaluate": ["--pred", seg, "--gt", seg, "--out", table],
+        "enhance-labels": ["--image", str(tmp_path / "img.nii"), "--labels", seg,
+                           "--out", str(tmp_path / "sub.nii"), "--map", table, "--bg-classes", "3"],
+    }[command]
+    fail_writes(monkeypatch, "table")
+    assert dispatch(["--quiet", command, *flags]) == 3
+    # neither the final file nor its temporary sibling is left behind
+    assert not any("table" in p.name for p in tmp_path.iterdir())
 
 
 def test_config_env_var_used(tmp_path, monkeypatch, rng):

@@ -280,19 +280,30 @@ class TestLargestCc:
             assert out.data[p, p, p] == 1 and out.data[1 + p, p, p] == 1
             assert out.data[4 + p, 2 + p, 2 + p] == 0 and out.data[5 + p, 2 + p, 2 + p] == 0
 
-    def test_matches_bfs_component_oracle(self, rng):
-        data = (rng.uniform(size=(9, 9, 9)) < 0.35).astype(np.int32)
+    @staticmethod
+    def assert_matches_bfs_oracle(data):
         out = largest_cc(make_labels(data), 1)
         comps = bfs_components(data == 1)
-        if comps:
-            best_size = max(len(c) for c in comps)
-            tied = [c for c in comps if len(c) == best_size]
-            flat_index = lambda v: (v[0] * 9 + v[1]) * 9 + v[2]
-            winner = min(tied, key=lambda c: min(flat_index(v) for v in c))
-            expected = np.zeros_like(data)
-            for v in winner:
-                expected[v] = 1
-            assert np.array_equal(out.data, expected)
+        best_size = max(len(c) for c in comps)
+        tied = [c for c in comps if len(c) == best_size]
+        winner = min(tied, key=lambda c: min(np.ravel_multi_index(v, data.shape) for v in c))
+        expected = np.zeros_like(data)
+        for v in winner:
+            expected[v] = 1
+        assert np.array_equal(out.data, expected)
+        return len(tied)
+
+    def test_matches_bfs_component_oracle(self, rng):
+        self.assert_matches_bfs_oracle((rng.uniform(size=(9, 9, 9)) < 0.35).astype(np.int32))
+        # k equal cubes on shuffled cells, so every case is a k-way tie; padded,
+        # the label's box no longer starts at the origin
+        for k in (2, 5, 27):
+            for pad in (0, 2):
+                data = np.zeros((9, 9, 9), dtype=np.int32)
+                for cell in rng.permutation(27)[:k]:
+                    i, j, l = np.unravel_index(cell, (3, 3, 3))
+                    data[3 * i : 3 * i + 2, 3 * j : 3 * j + 2, 3 * l : 3 * l + 2] = 1
+                assert self.assert_matches_bfs_oracle(np.pad(data, pad)) == k
 
     def test_other_labels_untouched_and_idempotent(self, rng):
         data = rng.integers(0, 3, size=(8, 8, 8))
@@ -352,9 +363,9 @@ class TestFillHoles:
         out = fill_holes(make_labels(data), {2})
         assert np.array_equal(out.data, data)
 
-    def test_matches_flood_fill_oracle(self, rng):
-        data = (rng.uniform(size=(9, 9, 9)) < 0.55).astype(np.int32) * 2
-        out = fill_holes(make_labels(data), {2})
+    @staticmethod
+    def assert_matches_flood_fill_oracle(data, fillable):
+        out = fill_holes(make_labels(data), fillable)
         background = data == 0
         open_bg = flood_from_border(background)
         for comp in bfs_components(background & ~open_bg):
@@ -364,10 +375,22 @@ class TestFillHoles:
                     a, b, c = i + di, j + dj, k + dk
                     if (a, b, c) not in comp and 0 <= a < 9 and 0 <= b < 9 and 0 <= c < 9:
                         neighbours.add(int(data[a, b, c]))
-            fill = neighbours == {2}
+            # a cavity is filled when one fillable label encloses it alone
+            fill = neighbours.pop() if len(neighbours) == 1 and neighbours <= fillable else 0
             for v in comp:
-                assert out.data[v] == (2 if fill else 0)
-        assert np.array_equal(out.data[data == 2], data[data == 2])
+                assert out.data[v] == fill
+        assert np.array_equal(out.data[data != 0], data[data != 0])
+
+    def test_matches_flood_fill_oracle(self, rng):
+        data = (rng.uniform(size=(9, 9, 9)) < 0.55).astype(np.int32) * 2
+        self.assert_matches_flood_fill_oracle(data, {2})
+        # labels 1-3 on 3^3 blocks with background specks, so cavities lie
+        # inside one fillable label, inside label 3, or between labels
+        for seed in range(4):
+            draw = np.random.default_rng(seed)
+            blocks = draw.integers(1, 4, (3, 3, 3)).repeat(3, 0).repeat(3, 1).repeat(3, 2)
+            data = np.where(draw.uniform(size=(9, 9, 9)) < 0.2, 0, blocks).astype(np.int32)
+            self.assert_matches_flood_fill_oracle(data, {1, 2})
 
     def test_many_cavities_filled_in_one_pass(self):
         data = np.zeros((20, 20, 20), dtype=np.int32)

@@ -436,6 +436,16 @@ class TestReplay:
         with pytest.raises(ValueError):
             SampleManifest.from_json(text)
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"bogus": 1}, "bogus"), ({"crop_size": "16"}, "crop_size")],
+        ids=["unknown_key", "wrong_type"],
+    )
+    def test_replay_refuses_a_malformed_config(self, config, key):
+        manifest = SampleManifest.from_json(json.dumps({**VALID_MANIFEST, "config": config}))
+        with pytest.raises(ValueError, match=key):
+            replay_manifest(manifest, [demo_phantom(24)])
+
 
 class TestPreprocess:
     def test_thick_scan_regridded_isotropic(self, rng):
