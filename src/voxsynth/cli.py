@@ -166,8 +166,13 @@ def _cmd_enhance_labels(args) -> int:
     nifti.write_nifti(sub, args.out)
     lines = ["sub_label,parent_label"]
     lines += [f"{s},{p}" for s, p in sorted(mapping.items())]
-    with nifti.replaced_atomically(args.mapping) as f:
-        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+    try:
+        with nifti.replaced_atomically(args.mapping) as f:
+            f.write(("\n".join(lines) + "\n").encode("utf-8"))
+    except BaseException:
+        # sub-label ids mean nothing without their map
+        os.remove(args.out)
+        raise
     logger.info("subdivided %d parents into %d sub-labels", len(set(mapping.values())), len(mapping))
     return EXIT_OK
 

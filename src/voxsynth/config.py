@@ -68,24 +68,17 @@ class GeneratorConfig:
                 raise ConfigError(f"{f.name}={value!r} must be of type {kind.__name__}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name}={value} must be finite")
-        for lo_key, hi_key in (
-            ("rot_min", "rot_max"),
-            ("scale_min", "scale_max"),
-            ("shear_min", "shear_max"),
-            ("trans_min", "trans_max"),
-            ("mean_min", "mean_max"),
-            ("std_min", "std_max"),
-            ("alpha_min", "alpha_max"),
-        ):
+        names = [f.name for f in fields(self)]
+        for lo_key in (name for name in names if name.endswith("_min")):
+            hi_key = lo_key.removesuffix("_min") + "_max"
+            if hi_key not in names:
+                continue
             lo, hi = getattr(self, lo_key), getattr(self, hi_key)
             if lo > hi:
                 raise ConfigError(f"{lo_key}={lo} exceeds {hi_key}={hi}")
-        if self.warp_std_max < 0:
-            raise ConfigError(f"warp_std_max={self.warp_std_max} must be >= 0")
-        if self.bias_std_max < 0:
-            raise ConfigError(f"bias_std_max={self.bias_std_max} must be >= 0")
-        if self.gamma_var < 0:
-            raise ConfigError(f"gamma_var={self.gamma_var} must be >= 0")
+        for key in ("warp_std_max", "bias_std_max", "gamma_var"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key}={getattr(self, key)} must be >= 0")
         if self.hr_spacing <= 0:
             raise ConfigError(f"hr_spacing={self.hr_spacing} must be > 0")
         if self.spacing_max < self.hr_spacing:

@@ -177,10 +177,10 @@ def largest_cc(labels: Volume, label: int) -> Volume:
     A label absent from the volume is a no-op.
     """
     mask = labels.data == label
-    if not mask.any():
+    box = _bbox_slices(mask, margin=0)
+    if box is None:
         return labels
     # a C-order crop keeps the voxels' raster order, so the tie rule holds
-    box = _bbox_slices(mask, margin=0)
     mask = mask[box]
     components, count = ndimage.label(mask, structure=_STRUCT6)
     if count <= 1:
@@ -196,11 +196,17 @@ def largest_cc(labels: Volume, label: int) -> Volume:
 
 
 def _bbox_slices(mask: np.ndarray, margin: int = 1):
-    idx = np.nonzero(mask)
+    """The mask's bounding box padded by `margin` and clamped at the faces,
+    or None when the mask is empty; each axis's extent is read from the
+    mask's projection onto that axis."""
     slices = []
     for axis in range(3):
-        lo = max(int(idx[axis].min()) - margin, 0)
-        hi = min(int(idx[axis].max()) + margin + 1, mask.shape[axis])
+        others = tuple(a for a in range(3) if a != axis)
+        idx = np.flatnonzero(mask.any(axis=others))
+        if idx.size == 0:
+            return None
+        lo = max(int(idx[0]) - margin, 0)
+        hi = min(int(idx[-1]) + margin + 1, mask.shape[axis])
         slices.append(slice(lo, hi))
     return tuple(slices)
 
@@ -215,10 +221,9 @@ def fill_holes(labels: Volume, fillable) -> Volume:
     """
     out = labels.data.copy()
     for label in sorted(int(v) for v in fillable):
-        mask = out == label
-        if not mask.any():
+        box = _bbox_slices(out == label)
+        if box is None:
             continue
-        box = _bbox_slices(mask)
         sub = out[box]
         background = sub == 0
         if not background.any():
@@ -295,11 +300,10 @@ def evaluate_volumes(pred: Volume, gt: Volume, schema: LabelSchema) -> MetricsRe
     voxel = gt.voxel_volume
     for label in sorted(schema.evaluated_labels):
         name = schema.names.get(label, "")
-        either = (pred.data == label) | (gt.data == label)
-        if not either.any():
+        box = _bbox_slices((pred.data == label) | (gt.data == label))
+        if box is None:
             report.add(label, name, 1.0, None, 0.0, 0.0)
             continue
-        box = _bbox_slices(either)
         pred_box = pred.with_data(pred.data[box])
         gt_box = gt.with_data(gt.data[box])
         count_pred = int(np.count_nonzero(pred_box.data == label))

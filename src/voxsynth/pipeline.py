@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -172,12 +172,7 @@ def generate_sample(
 
     with _stage("deform", stages):
         affine_params, matrix = sample_affine(cfg, rng, labels.dims, labels.spacing)
-        manifest.affine = {
-            "rotations_deg": list(affine_params.rotations_deg),
-            "scalings": list(affine_params.scalings),
-            "shearings": list(affine_params.shearings),
-            "translations_mm": list(affine_params.translations_mm),
-        }
+        manifest.affine = {k: list(v) for k, v in asdict(affine_params).items()}
         svf = sample_svf(cfg, rng)
         manifest.svf_std = svf.std
         # nested so the velocity is freed inside integrate_svf, once it is
@@ -379,6 +374,8 @@ def generate_batch(
     pool whose worker died are retried, first in a fresh pool of `workers`,
     then one at a time.
     """
+    if count < 0:
+        raise ValueError(f"count={count} must be >= 0")
     schema = load_schema(cfg.schema)
     for index, labels in enumerate(maps):
         _check_map(labels, _map_id(map_ids, index), schema)

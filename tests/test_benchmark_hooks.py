@@ -41,3 +41,31 @@ def test_traced_wrappers_record_deform_and_em(tmp_path):
     em_iters = [v for name, _, v in tracer.counts if name == "clustering.em_iters"]
     assert em_iters and all(v >= 0 for v in em_iters)
     assert not is_traced(voxsynth.clustering.em_fit_1d) and not is_traced(pipeline.integrate_svf)
+
+
+def test_traced_wrappers_record_postprocess_and_evaluate(tmp_path):
+    gt = demo_phantom(24)
+    pred = gt.data.copy()
+    pred[0, 0, 0] = pred[12, 12, 12]  # an island for largest_cc to remove
+    write_nifti(gt, tmp_path / "gt.nii")
+    write_nifti(gt.with_data(pred), tmp_path / "pred.nii")
+    tracer = Tracer(tmp_path)
+    layers.install(tracer)
+    tracer.active = True
+    try:
+        codes = [
+            cli.dispatch(["--quiet", "postprocess", "--in", str(tmp_path / "pred.nii"),
+                          "--out", str(tmp_path / "clean.nii")]),
+            cli.dispatch(["--quiet", "evaluate", "--pred", str(tmp_path / "clean.nii"),
+                          "--gt", str(tmp_path / "gt.nii"), "--out", str(tmp_path / "metrics.csv")]),
+        ]
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert codes == [cli.EXIT_OK, cli.EXIT_OK]
+    spans = {s.name for s in tracer.spans}
+    layer_names = {f"metrics.{name}" for name in ("largest_cc", "fill_holes", "evaluate_volumes", "sd95")}
+    assert layer_names <= spans
+    sd95_calls = [v for name, _, v in tracer.counts if name == "metrics.sd95_calls"]
+    assert sum(sd95_calls) > 0
+    assert not any(is_traced(getattr(voxsynth.metrics, name.split(".")[1])) for name in layer_names)

@@ -193,6 +193,29 @@ def test_failed_csv_write_leaves_no_csv(tmp_path, monkeypatch, rng, command):
     assert not any("table" in p.name for p in tmp_path.iterdir())
 
 
+def test_failed_map_write_leaves_no_volume(tmp_path, monkeypatch, rng):
+    labels = demo_phantom(16)
+    write_nifti(make_image(rng.uniform(0, 1, labels.dims)), tmp_path / "img.nii")
+    write_nifti(labels, tmp_path / "seg.nii")
+    fail_writes(monkeypatch, "map")
+    code = dispatch(
+        ["--quiet", "enhance-labels", "--image", str(tmp_path / "img.nii"),
+         "--labels", str(tmp_path / "seg.nii"), "--out", str(tmp_path / "sub.nii"),
+         "--map", str(tmp_path / "map.csv"), "--bg-classes", "3"]
+    )
+    assert code == 3
+    # the volume's sub-label ids mean nothing without the map, so it goes too
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["img.nii", "seg.nii"]
+
+
+def test_negative_count_refused_before_the_out_dir(tmp_path, caplog):
+    out = tmp_path / "o"
+    code = dispatch(["--quiet", "generate", "--maps", "demo", "--count", "-2", "--out", str(out)])
+    assert code == 3
+    assert "count" in caplog.text
+    assert not out.exists()
+
+
 def test_config_env_var_used(tmp_path, monkeypatch, rng):
     cfg_path = tmp_path / "env.cfg"
     cfg_path.write_text("hr_spacing = 2.0\n")

@@ -62,6 +62,23 @@ def test_negative_gamma_var_rejected():
         parse_config_text("gamma_var = -0.1\n")
 
 
+@pytest.mark.parametrize("prefix", ["rot", "scale", "shear", "trans", "mean", "std", "alpha"])
+def test_every_inverted_pair_rejected_naming_both_keys(prefix):
+    lo_key, hi_key = f"{prefix}_min", f"{prefix}_max"
+    lo, hi = DEFAULTS[lo_key], DEFAULTS[hi_key]
+    with pytest.raises(ConfigError) as info:
+        GeneratorConfig(**{lo_key: hi, hi_key: lo})
+    assert str(info.value) == f"{lo_key}={hi} exceeds {hi_key}={lo}"
+
+
+@pytest.mark.parametrize("key", ["warp_std_max", "bias_std_max", "gamma_var"])
+def test_negative_spread_rejected(key):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(f"{key} = -0.1\n")
+    assert str(info.value) == f"{key}=-0.1 must be >= 0"
+    assert getattr(parse_config_text(f"{key} = 0\n"), key) == 0.0
+
+
 def test_unknown_key_rejected_by_name():
     with pytest.raises(ConfigError, match="wobble"):
         parse_config_text("wobble = 3\n")

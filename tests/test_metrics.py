@@ -8,6 +8,7 @@ from voxsynth.clustering import subdivide_labels
 from voxsynth.metrics import (
     MissingStructureError,
     ProbMap,
+    _bbox_slices,
     cohens_d,
     evaluate_volumes,
     fill_holes,
@@ -252,6 +253,55 @@ class TestCohensD:
             cohens_d([1.0], [2.0, 3.0])
         with pytest.raises(ValueError, match="variance"):
             cohens_d([2.0, 2.0], [2.0, 2.0])
+
+
+def nonzero_bbox(mask, margin):
+    """Oracle: the min and max voxel index per axis, padded and clamped."""
+    idx = np.nonzero(mask)
+    if idx[0].size == 0:
+        return None
+    return tuple(
+        slice(max(int(i.min()) - margin, 0), min(int(i.max()) + margin + 1, n))
+        for i, n in zip(idx, mask.shape)
+    )
+
+
+def bbox_cases():
+    rng = np.random.default_rng(20)
+    for shape in [(1, 1, 1), (5, 7, 3), (9, 4, 6), (2, 11, 1)]:
+        yield np.zeros(shape, dtype=bool)
+        for density in (0.01, 0.1, 0.5):
+            yield rng.random(shape) < density
+        for _ in range(3):  # single voxels
+            mask = np.zeros(shape, dtype=bool)
+            mask[tuple(int(rng.integers(0, n)) for n in shape)] = True
+            yield mask
+        corner = np.zeros(shape, dtype=bool)
+        corner[-1, -1, -1] = True
+        yield corner
+        for axis in range(3):  # a sparse, non-empty patch on each face
+            for side in (0, -1):
+                mask = np.zeros(shape, dtype=bool)
+                face = tuple(side if a == axis else slice(None) for a in range(3))
+                patch = rng.random(mask[face].shape) < 0.3
+                patch.flat[rng.integers(patch.size)] = True
+                mask[face] = patch
+                yield mask
+
+
+class TestBboxSlices:
+    @pytest.mark.parametrize("margin", [0, 1])
+    def test_matches_nonzero_oracle(self, margin):
+        cases = list(bbox_cases())
+        assert sum(not m.any() for m in cases) >= 4
+        for mask in cases:
+            assert _bbox_slices(mask, margin) == nonzero_bbox(mask, margin)
+
+    def test_none_exactly_for_an_empty_mask(self):
+        mask = np.zeros((4, 5, 6), dtype=bool)
+        assert _bbox_slices(mask, 1) is None
+        mask[3, 0, 5] = True
+        assert _bbox_slices(mask, 1) == (slice(2, 4), slice(0, 2), slice(4, 6))
 
 
 class TestLargestCc:

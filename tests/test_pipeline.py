@@ -150,6 +150,11 @@ class TestGenerateBatch:
         assert result.ok and result.written == []
         assert (tmp_path / "out").is_dir()
 
+    def test_negative_count_refused_before_the_out_dir(self, tmp_path, fast_cfg):
+        with pytest.raises(ValueError, match="count=-2"):
+            generate_batch([demo_phantom(24)], fast_cfg, -2, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_worker_counts_agree_bitwise(self, tmp_path, fast_cfg):
         maps = [demo_phantom(24)]
         solo = generate_batch(maps, fast_cfg, 4, tmp_path / "solo", workers=1)
